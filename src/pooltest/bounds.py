@@ -24,31 +24,6 @@ class BoundReport:
     epsilon_delta: float | None = None
     counting_bound: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "l_star": self.l_star,
-            "w_star": self.w_star,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "epsilon_delta": self.epsilon_delta,
-            "counting_bound": self.counting_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> BoundReport:
-        return cls(
-            p=data["p"],
-            q=data["q"],
-            l_star=data["l_star"],
-            w_star=data["w_star"],
-            epsilon=data["epsilon"],
-            delta=data.get("delta"),
-            epsilon_delta=data.get("epsilon_delta"),
-            counting_bound=data.get("counting_bound"),
-        )
-
 
 def weight_log_term(prior: Prior, w: int) -> float:
     """w * ln(1 - q^(w-1)): the weighted log chance a weight-w test disguises a member."""

@@ -14,6 +14,7 @@ from . import disguise as disguise_mod
 from . import sim as sim_mod
 from .decode import DecoderId, decode
 from .model import OutcomeVector, Prior
+from .serialize import to_dict
 
 _FMT = "{:.12g}"
 
@@ -38,7 +39,11 @@ def _fmt(value) -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("POOLTEST_SEED", "0"))
+    raw = os.environ.get("POOLTEST_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"POOLTEST_SEED must be an integer, got {raw!r}") from None
 
 
 def _read_design(path: str) -> design_mod.TestDesign:
@@ -177,7 +182,7 @@ def _cmd_bound(args) -> int:
     if args.n is not None:
         report = replace(report, counting_bound=bounds_mod.counting_bound(prior, args.n))
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(to_dict(report)))
         return 0
     for name in ("p", "q", "l_star", "w_star", "epsilon", "delta", "epsilon_delta", "counting_bound"):
         value = getattr(report, name)
@@ -212,7 +217,7 @@ def _cmd_disguise(args) -> int:
     budget = None if args.exact_budget <= 0 else args.exact_budget
     report = disguise_mod.mean_log_bound(d, prior, exact_budget=budget)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(to_dict(report)))
         return 0
     print(f"{'item':>6} {'L_i':>18} {'fkg_bound':>16} {'exact':>16}")
     for rec in report.items:
@@ -258,7 +263,7 @@ def _cmd_simulate(args) -> int:
         d, Prior(args.p), DecoderId(args.decoder), args.trials, args.seed, args.workers
     )
     if args.json:
-        print(json.dumps(result.to_dict()))
+        print(json.dumps(to_dict(result)))
         return 0
     for name in ("trials", "errors", "estimate", "ci_low", "ci_high", "seed"):
         print(f"{name:<10}{_fmt(getattr(result, name))}")
@@ -272,7 +277,7 @@ def _cmd_verify(args) -> int:
         d, Prior(args.p), trials=args.trials, seed=args.seed, workers=args.workers
     )
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(to_dict(report)))
     else:
         print(f"design          {report.design_summary}")
         print(f"p               {_fmt(report.p)}")
@@ -297,17 +302,16 @@ def _cmd_verify(args) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse and dispatch; exit 0 on success, 1 on usage errors, 2 on verification failure."""
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

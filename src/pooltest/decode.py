@@ -129,23 +129,9 @@ def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior
     return map_mask(design, y_sig, prior)
 
 
-def decode_comp(design: TestDesign, y: OutcomeVector) -> DefectiveSet:
-    _check_length(design, y)
-    return DefectiveSet(n=design.n, mask=comp_mask(design, y.signature))
-
-
-def decode_dd(design: TestDesign, y: OutcomeVector) -> DefectiveSet:
-    _check_length(design, y)
-    return DefectiveSet(n=design.n, mask=dd_mask(design, y.signature))
-
-
-def decode_map(design: TestDesign, y: OutcomeVector, prior: Prior) -> DefectiveSet:
-    _check_length(design, y)
-    return DefectiveSet(n=design.n, mask=map_mask(design, y.signature, prior))
-
-
 def decode(
     design: TestDesign, y: OutcomeVector, decoder: DecoderId, prior: Prior | None = None
 ) -> DefectiveSet:
+    """Decode an outcome vector with the chosen decoder; MAP requires a prior."""
     _check_length(design, y)
     return DefectiveSet(n=design.n, mask=decode_mask(design, y.signature, decoder, prior))

@@ -148,11 +148,6 @@ def _pack_row(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
-def row_weights(design: TestDesign) -> tuple[int, ...]:
-    """Per-test item counts."""
-    return design.weights
-
-
 def reduce_design(design: TestDesign) -> tuple[TestDesign, ReductionLog]:
     """Strip weight-0 tests and resolve weight-1 tests until all weights >= 2.
 

@@ -33,18 +33,6 @@ class ItemDisguise:
     fkg_bound: float
     exact_prob: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "log_bound": self.log_bound,
-            "fkg_bound": self.fkg_bound,
-            "exact_prob": self.exact_prob,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ItemDisguise:
-        return cls(data["item"], data["log_bound"], data["fkg_bound"], data.get("exact_prob"))
-
 
 @dataclass(frozen=True)
 class DisguiseReport:
@@ -63,29 +51,6 @@ class DisguiseReport:
     scaled_min_term: float | None
     l_star: float
     chain_applicable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "items": [it.to_dict() for it in self.items],
-            "mean_log_bound": self.mean_log_bound,
-            "mean_log_bound_by_test": self.mean_log_bound_by_test,
-            "min_weight_term": self.min_weight_term,
-            "scaled_min_term": self.scaled_min_term,
-            "l_star": self.l_star,
-            "chain_applicable": self.chain_applicable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> DisguiseReport:
-        return cls(
-            items=tuple(ItemDisguise.from_dict(d) for d in data["items"]),
-            mean_log_bound=data["mean_log_bound"],
-            mean_log_bound_by_test=data["mean_log_bound_by_test"],
-            min_weight_term=data.get("min_weight_term"),
-            scaled_min_term=data.get("scaled_min_term"),
-            l_star=data["l_star"],
-            chain_applicable=data["chain_applicable"],
-        )
 
 
 def _check_item(design: TestDesign, i: int) -> None:

@@ -7,7 +7,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .design import TestDesign, _bit_positions, _pack_row
+from .design import TestDesign, _bit_positions, _mask_from_indices, _pack_row
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,7 @@ class DefectiveSet:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> DefectiveSet:
-        mask = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < n:
-                raise ValueError(f"item index {i} outside [0, {n})")
-            mask |= 1 << i
-        return cls(n=n, mask=mask)
+        return cls(n=n, mask=_mask_from_indices(indices, n))
 
     @classmethod
     def empty(cls, n: int) -> DefectiveSet:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,30 +38,6 @@ class SimResult:
     seed: int
     decoder: DecoderId | None
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "errors": self.errors,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "decoder": self.decoder.value if self.decoder else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> SimResult:
-        decoder = DecoderId(data["decoder"]) if data.get("decoder") else None
-        return cls(
-            trials=data["trials"],
-            errors=data["errors"],
-            estimate=data["estimate"],
-            ci_low=data["ci_low"],
-            ci_high=data["ci_high"],
-            seed=data["seed"],
-            decoder=decoder,
-        )
-
 
 @dataclass(frozen=True)
 class LemmaCheck:
@@ -69,13 +47,6 @@ class LemmaCheck:
     exact: float
     bound: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"item": self.item, "exact": self.exact, "bound": self.bound, "passed": self.passed}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> LemmaCheck:
-        return cls(data["item"], data["exact"], data["bound"], data["passed"])
 
 
 @dataclass(frozen=True)
@@ -98,33 +69,6 @@ class VerificationReport:
     lemma_checks: tuple[LemmaCheck, ...]
     lemma_skipped: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "design_summary": self.design_summary,
-            "p": self.p,
-            "epsilon_floor": self.epsilon_floor,
-            "observed_error": self.observed_error,
-            "method": self.method,
-            "applicable": self.applicable,
-            "theorem_pass": self.theorem_pass,
-            "lemma_checks": [c.to_dict() for c in self.lemma_checks],
-            "lemma_skipped": list(self.lemma_skipped),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> VerificationReport:
-        return cls(
-            design_summary=data["design_summary"],
-            p=data["p"],
-            epsilon_floor=data["epsilon_floor"],
-            observed_error=data["observed_error"],
-            method=data["method"],
-            applicable=data["applicable"],
-            theorem_pass=data["theorem_pass"],
-            lemma_checks=tuple(LemmaCheck.from_dict(c) for c in data["lemma_checks"]),
-            lemma_skipped=tuple(data["lemma_skipped"]),
-        )
-
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval; exactly [0, ...] at zero hits."""
@@ -142,6 +86,42 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
+    """Return ``wrong(sets)``, which flags the defective sets the decoder gets wrong.
+
+    ``sets`` is a boolean block, one row per defective set.  The block goes
+    through the OR channel as one matrix product; each distinct outcome row is
+    decoded once per tally, however many blocks or threads share it, because
+    the cache lookup, the decode on a miss and the insertion hold one lock.
+    """
+    X = _design_matrix(design).T
+    nbytes = (design.n + 7) // 8
+    cache: dict[bytes, bytes] = {}
+    lock = threading.Lock()
+
+    def wrong(sets: np.ndarray) -> np.ndarray:
+        if design.T:
+            positive = (sets.astype(np.float32) @ X) > 0.5
+            packed_y = np.packbits(positive, axis=1, bitorder="little")
+        else:
+            packed_y = np.zeros((len(sets), 1), dtype=np.uint8)
+        rows = packed_y.view(np.dtype((np.void, packed_y.shape[1]))).ravel()
+        keys, inverse = np.unique(rows, return_inverse=True)
+        estimates = []
+        with lock:
+            for key in keys.tolist():
+                estimate = cache.get(key)
+                if estimate is None:
+                    sig = int.from_bytes(key, "little")
+                    estimate = decode_mask(design, sig, decoder, prior).to_bytes(nbytes, "little")
+                    cache[key] = estimate
+                estimates.append(estimate)
+        table = np.frombuffer(b"".join(estimates), dtype=np.uint8).reshape(len(estimates), nbytes)
+        return (table[inverse] != np.packbits(sets, axis=1, bitorder="little")).any(axis=1)
+
+    return wrong
+
+
 def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) -> float:
     """Prior-weighted error probability, summed over all 2^n defective sets."""
     budget = EXACT_ITEM_BUDGET[decoder]
@@ -150,28 +130,20 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
             f"exact error with {decoder.value} enumerates 2^n sets; n = {design.n} exceeds {budget}"
         )
     n = design.n
-    masks = design.row_masks
-    errors_by_size = [0] * (n + 1)
-    cache: dict[int, int] = {}
-    for k in range(1 << n):
-        sig = 0
-        for t, m in enumerate(masks):
-            if m & k:
-                sig |= 1 << t
-        estimate = cache.get(sig)
-        if estimate is None:
-            estimate = decode_mask(design, sig, decoder, prior)
-            cache[sig] = estimate
-        if estimate != k:
-            errors_by_size[k.bit_count()] += 1
-    return float(sum(c * prior.weight(j, n) for j, c in enumerate(errors_by_size) if c))
+    wrong = _error_tally(design, prior, decoder)
+    errors_by_size = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, 1 << n, BLOCK_TRIALS):
+        ks = np.arange(start, min(start + BLOCK_TRIALS, 1 << n), dtype="<u4")
+        bits = np.unpackbits(ks.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
+        sets = bits.view(bool)
+        errors_by_size += np.bincount(sets.sum(axis=1)[wrong(sets)], minlength=n + 1)
+    return float(sum(int(c) * prior.weight(j, n) for j, c in enumerate(errors_by_size) if c))
 
 
 def _design_matrix(design: TestDesign) -> np.ndarray:
     X = np.zeros((design.T, design.n), dtype=np.float32)
-    for t, mask in enumerate(design.row_masks):
-        for i in design.items_in_test(t):
-            X[t, i] = 1.0
+    for t in range(design.T):
+        X[t, list(design.items_in_test(t))] = 1.0
     return X
 
 
@@ -189,7 +161,8 @@ def monte_carlo_error(
     belongs to worker b mod workers, and worker w draws from its own
     substream seeded by (master_seed, w).  The result is therefore a
     deterministic function of (inputs, master_seed, workers), independent of
-    scheduling.
+    scheduling.  Only workers that own a block run, on at most as many
+    threads as there are CPUs.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -199,36 +172,23 @@ def monte_carlo_error(
         raise ValueError("master seed must be nonnegative")
     n = design.n
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    X = _design_matrix(design)
-    cache: dict[bytes, int] = {}
+    wrong = _error_tally(design, prior, decoder)
 
     def run_worker(w: int) -> int:
         rng = np.random.default_rng([master_seed, w])
         errors = 0
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            sample = rng.random((size, n)) < prior.p
-            packed_k = np.packbits(sample, axis=1, bitorder="little")
-            if design.T:
-                positive = (sample.astype(np.float32) @ X.T) > 0.5
-                packed_y = np.packbits(positive, axis=1, bitorder="little")
-            else:
-                packed_y = np.zeros((size, 0), dtype=np.uint8)
-            for row in range(size):
-                key = packed_y[row].tobytes()
-                estimate = cache.get(key)
-                if estimate is None:
-                    estimate = decode_mask(design, int.from_bytes(key, "little"), decoder, prior)
-                    cache[key] = estimate
-                if estimate != int.from_bytes(packed_k[row].tobytes(), "little"):
-                    errors += 1
+            errors += int(np.count_nonzero(wrong(rng.random((size, n)) < prior.p)))
         return errors
 
-    if workers == 1:
-        total = run_worker(0)
+    active = min(workers, nblocks)
+    threads = min(active, os.cpu_count() or 1)
+    if threads == 1:
+        total = sum(map(run_worker, range(active)))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(run_worker, range(workers)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            total = sum(pool.map(run_worker, range(active)))
     low, high = wilson_interval(total, trials)
     return SimResult(
         trials=trials,

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from pooltest import TestDesign, new_design
+from pooltest import Prior, TestDesign, new_design
+from pooltest.decode import decode_mask
+from pooltest.sim import BLOCK_TRIALS
 
 
 def design_from_masks(masks, n: int) -> TestDesign:
@@ -64,6 +66,48 @@ def grouped_map_error(design: TestDesign, p: float) -> float:
         if w > best.get(sig, -1.0):
             best[sig] = w
     return 1.0 - sum(best.values())
+
+
+def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
+    """Exact average error by a per-set loop: OR channel, decode, tally by set size.
+
+    Errors are counted per defective-set size and summed in increasing size,
+    so the float agrees exactly with a correct batched enumeration.
+    """
+    prior = Prior(p)
+    n = design.n
+    errors_by_size = [0] * (n + 1)
+    for k in range(1 << n):
+        if decode_mask(design, outcome_signature(design, k), decoder, prior) != k:
+            errors_by_size[bin(k).count("1")] += 1
+    return float(sum(c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(errors_by_size) if c))
+
+
+def monte_carlo_errors_reference(
+    design: TestDesign, p: float, decoder, trials: int, seed: int, workers: int
+) -> int:
+    """Monte Carlo error count, decoding one sampled set at a time.
+
+    Draws exactly what the library draws: trials split into blocks of
+    BLOCK_TRIALS, block b sampled by worker b mod workers from the substream
+    seeded by (seed, w).  The workers run one after another.
+    """
+    prior = Prior(p)
+    nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    decoded: dict[int, int] = {}
+    errors = 0
+    for w in range(workers):
+        rng = np.random.default_rng([seed, w])
+        for b in range(w, nblocks, workers):
+            size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
+            for row in rng.random((size, design.n)) < p:
+                k = sum(1 << int(i) for i in np.flatnonzero(row))
+                sig = outcome_signature(design, k)
+                if sig not in decoded:
+                    decoded[sig] = decode_mask(design, sig, decoder, prior)
+                if decoded[sig] != k:
+                    errors += 1
+    return errors
 
 
 def brute_force_optimal_error(design: TestDesign, p: float) -> float:

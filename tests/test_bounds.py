@@ -15,7 +15,9 @@ from pooltest import (
     doubly_regular_disguise_bound,
     epsilon_bound,
     epsilon_bound_delta,
+    from_dict,
     l_star,
+    to_dict,
     weight_log_term,
 )
 
@@ -172,5 +174,5 @@ class TestBoundReportRoundTrip:
         import json
 
         report = epsilon_bound(Prior(0.41))
-        parsed = BoundReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        parsed = from_dict(BoundReport, json.loads(json.dumps(to_dict(report))))
         assert parsed == report

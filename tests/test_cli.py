@@ -47,6 +47,13 @@ class TestUsageErrors:
         assert run(["--help"]) == 0
         assert "pooltest" in capsys.readouterr().out
 
+    def test_bad_seed_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("POOLTEST_SEED", "abc")
+        for argv in (["bound", "-p", "0.5"], ["gen", "individual", "-n", "3"]):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines() == ["error: POOLTEST_SEED must be an integer, got 'abc'"]
+
 
 class TestFigureCommand:
     def test_csv_shape(self, capsys):
@@ -204,13 +211,13 @@ class TestDisguiseCommand:
         assert lines[-2].startswith("L_bar,")
 
     def test_json_round_trip(self, tmp_path, capsys):
-        from pooltest import DisguiseReport
+        from pooltest import DisguiseReport, from_dict
 
         f = tmp_path / "d.txt"
         f.write_text("2 3\n110\n011\n")
         assert run(["disguise", "--design", str(f), "-p", "0.5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        report = DisguiseReport.from_dict(data)
+        report = from_dict(DisguiseReport, data)
         assert report.chain_applicable
 
     def test_missing_file(self, capsys):

@@ -13,12 +13,11 @@ from pooltest import (
     OutcomeVector,
     Prior,
     decode,
-    decode_comp,
-    decode_dd,
-    decode_map,
     new_design,
     outcomes,
 )
+
+from pooltest.decode import comp_mask, dd_mask, map_mask
 
 import helpers
 
@@ -26,81 +25,81 @@ import helpers
 class TestComp:
     def test_negative_test_clears(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode_comp(d, OutcomeVector.from_string("01")).indices == (2,)
+        assert decode(d, OutcomeVector.from_string("01"), DecoderId.COMP).indices == (2,)
 
     def test_all_positive_clears_nothing(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode_comp(d, OutcomeVector.from_string("11")).indices == (0, 1, 2)
+        assert decode(d, OutcomeVector.from_string("11"), DecoderId.COMP).indices == (0, 1, 2)
 
     def test_all_negative_keeps_untested(self):
         d = new_design([{0, 1}], 3)
-        assert decode_comp(d, OutcomeVector.from_string("0")).indices == (2,)
+        assert decode(d, OutcomeVector.from_string("0"), DecoderId.COMP).indices == (2,)
 
     def test_length_mismatch(self):
         d = new_design([{0}], 2)
         with pytest.raises(ValueError):
-            decode_comp(d, OutcomeVector.from_string("00"))
+            decode(d, OutcomeVector.from_string("00"), DecoderId.COMP)
 
 
 class TestDd:
     def test_unique_survivor_declared(self):
         d = new_design([{0, 1}, {1, 2}, {2}], 3)
-        assert decode_dd(d, OutcomeVector.from_string("011")).indices == (2,)
+        assert decode(d, OutcomeVector.from_string("011"), DecoderId.DD).indices == (2,)
 
     def test_all_negative_empty(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode_dd(d, OutcomeVector.from_string("00")).indices == ()
+        assert decode(d, OutcomeVector.from_string("00"), DecoderId.DD).indices == ()
 
     def test_ambiguous_positive_declares_nothing(self):
         d = new_design([{0, 1}], 2)
-        assert decode_dd(d, OutcomeVector.from_string("1")).indices == ()
+        assert decode(d, OutcomeVector.from_string("1"), DecoderId.DD).indices == ()
 
 
 class TestMap:
     def test_tie_break_prefers_lowest_item(self):
         d = new_design([{0, 1}], 2)
-        assert decode_map(d, OutcomeVector.from_string("1"), Prior(0.3)).indices == (0,)
+        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.3)).indices == (0,)
 
     def test_high_prior_prefers_large_sets(self):
         d = new_design([{0, 1}], 2)
-        assert decode_map(d, OutcomeVector.from_string("1"), Prior(0.7)).indices == (0, 1)
+        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.7)).indices == (0, 1)
 
     def test_unique_consistent_set(self):
         d = new_design([{0}], 1)
         for p in (0.1, 0.5, 0.9):
-            assert decode_map(d, OutcomeVector.from_string("1"), Prior(p)).indices == (0,)
+            assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(p)).indices == (0,)
 
     def test_identity_all_negative(self):
         d = new_design([{0}, {1}, {2}], 3)
-        assert decode_map(d, OutcomeVector.from_string("000"), Prior(0.3)).indices == ()
+        assert decode(d, OutcomeVector.from_string("000"), DecoderId.MAP, Prior(0.3)).indices == ()
 
     def test_inconsistent_outcomes_rejected(self):
         d = new_design([{0}, {0}], 1)
         with pytest.raises(InconsistentOutcomeError):
-            decode_map(d, OutcomeVector.from_string("10"), Prior(0.5))
+            decode(d, OutcomeVector.from_string("10"), DecoderId.MAP, Prior(0.5))
 
     def test_budget(self):
         d = new_design([set(range(31))], 31)
         with pytest.raises(BudgetExceededError):
-            decode_map(d, OutcomeVector.from_string("1"), Prior(0.5))
+            decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.5))
 
     def test_untested_items_follow_prior(self):
         # item 2 untested: excluded when p < 1/2, included when p > 1/2
         d = new_design([{0, 1}], 3)
         y = OutcomeVector.from_string("1")
-        assert decode_map(d, y, Prior(0.3)).indices == (0,)
-        assert decode_map(d, y, Prior(0.7)).indices == (0, 1, 2)
+        assert decode(d, y, DecoderId.MAP, Prior(0.3)).indices == (0,)
+        assert decode(d, y, DecoderId.MAP, Prior(0.7)).indices == (0, 1, 2)
 
     def test_half_prior_smallest_then_lowest(self):
         d = new_design([{0, 1, 2}], 3)
-        assert decode_map(d, OutcomeVector.from_string("1"), Prior(0.5)).indices == (0,)
+        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.5)).indices == (0,)
 
     def test_dispatcher(self):
         d = new_design([{0, 1}], 2)
         y = OutcomeVector.from_string("1")
-        assert decode(d, y, DecoderId.COMP) == decode_comp(d, y)
-        assert decode(d, y, DecoderId.DD) == decode_dd(d, y)
-        assert decode(d, y, DecoderId.MAP, Prior(0.3)) == decode_map(d, y, Prior(0.3))
+        assert decode(d, y, DecoderId.COMP).mask == comp_mask(d, y.signature)
+        assert decode(d, y, DecoderId.DD).mask == dd_mask(d, y.signature)
+        assert decode(d, y, DecoderId.MAP, Prior(0.3)).mask == map_mask(d, y.signature, Prior(0.3))
         with pytest.raises(ValueError):
             decode(d, y, DecoderId.MAP)
 
@@ -120,7 +119,7 @@ def design_and_set(draw):
 def test_map_reproduces_outcomes(case):
     design, k, p = case
     y = outcomes(design, DefectiveSet(n=design.n, mask=k))
-    estimate = decode_map(design, y, Prior(p))
+    estimate = decode(design, y, DecoderId.MAP, Prior(p))
     assert outcomes(design, estimate) == y
 
 
@@ -129,8 +128,8 @@ def test_map_reproduces_outcomes(case):
 def test_dd_subset_of_comp(case):
     design, k, _ = case
     y = outcomes(design, DefectiveSet(n=design.n, mask=k))
-    dd = decode_dd(design, y).mask
-    comp = decode_comp(design, y).mask
+    dd = decode(design, y, DecoderId.DD).mask
+    comp = decode(design, y, DecoderId.COMP).mask
     assert dd & comp == dd
 
 
@@ -141,7 +140,7 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
     if any(sum(m >> i & 1 for m in design.row_masks) == 0 for i in range(design.n)):
         return  # guarantee only holds when every item appears in some test
     y = outcomes(design, DefectiveSet(n=design.n, mask=k))
-    comp = decode_comp(design, y).mask
+    comp = decode(design, y, DecoderId.COMP).mask
     assert k & comp == k
 
 

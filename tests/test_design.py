@@ -13,7 +13,6 @@ from pooltest import (
     new_design,
     parse_design,
     reduce_design,
-    row_weights,
 )
 
 import helpers
@@ -115,13 +114,13 @@ class TestGenerators:
 
 class TestRowWeights:
     def test_identity(self):
-        assert row_weights(gen_individual(4)) == (1, 1, 1, 1)
+        assert gen_individual(4).weights == (1, 1, 1, 1)
 
     def test_all_ones(self):
-        assert row_weights(new_design([{0, 1, 2}, {0, 1, 2}], 3)) == (3, 3)
+        assert new_design([{0, 1, 2}, {0, 1, 2}], 3).weights == (3, 3)
 
     def test_mixed(self):
-        assert row_weights(new_design([{0, 1}, set(), {0, 1, 2}], 3)) == (2, 0, 3)
+        assert new_design([{0, 1}, set(), {0, 1, 2}], 3).weights == (2, 0, 3)
 
 
 class TestReduce:

@@ -13,10 +13,12 @@ from pooltest import (
     co_items,
     disguise_bound,
     exact_disguise_prob,
+    from_dict,
     gen_individual,
     l_star,
     mean_log_bound,
     new_design,
+    to_dict,
 )
 
 import helpers
@@ -176,5 +178,5 @@ class TestMeanLogBound:
 
     def test_json_round_trip_with_infinities(self):
         report = mean_log_bound(gen_individual(2), Prior(0.4), exact_budget=25)
-        parsed = DisguiseReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        parsed = from_dict(DisguiseReport, json.loads(json.dumps(to_dict(report))))
         assert parsed == report

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,18 +21,50 @@ from pooltest import (
     doubly_regular_disguise_bound,
     epsilon_bound,
     exact_average_error,
+    from_dict,
     gen_doubly_regular,
     gen_individual,
     monte_carlo_error,
     new_design,
     reduce_design,
+    to_dict,
     verify_theorem,
     wilson_interval,
 )
+from pooltest import sim
 
 import helpers
 
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Swap the simulator's thread pool for one that runs its tasks in order.
+
+    Returns the list of pools created, each with its ``max_workers`` and the
+    worker indices it was given.
+    """
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.submitted = list(items)
+            return map(fn, self.submitted)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    return pools
 
 
 class TestWilson:
@@ -96,6 +130,16 @@ class TestExactAverageError:
                 assert map_err <= exact_average_error(d, pr, DecoderId.COMP) + 1e-12
                 assert map_err <= exact_average_error(d, pr, DecoderId.DD) + 1e-12
 
+    def test_matches_per_set_loop(self):
+        rng = np.random.default_rng(45)
+        cases = [(int(rng.integers(1, 9)), int(rng.integers(0, 7))) for _ in range(25)]
+        for n, T in cases + [(13, 6)]:  # 2^13 sets span two blocks
+            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            for p in (0.2, 0.5, 0.8):
+                for decoder in DecoderId:
+                    got = exact_average_error(d, Prior(p), decoder)
+                    assert got == helpers.exact_error_reference(d, p, decoder)
+
     def test_budgets_enforced(self):
         big = TestDesign(n=15, row_masks=(1,))
         with pytest.raises(BudgetExceededError):
@@ -132,6 +176,55 @@ class TestMonteCarlo:
         assert result.trials == 10_001
         assert result.estimate == result.errors / 10_001
 
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(46)
+        for case in range(6):
+            n, T = int(rng.integers(1, 13)), int(rng.integers(0, 9))
+            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            for decoder in DecoderId:
+                for trials, workers in ((5_000, 1), (13_000, 3)):
+                    got = monte_carlo_error(d, Prior(0.3), decoder, trials, case, workers)
+                    expected = helpers.monte_carlo_errors_reference(
+                        d, 0.3, decoder, trials, case, workers
+                    )
+                    assert got.errors == expected
+
+    def test_pool_bounded_by_blocks_and_cpus(self, serial_pools, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        d = new_design([{0, 1}, {1, 2}], 3)
+        trials = 5 * sim.BLOCK_TRIALS - 7
+        many = monte_carlo_error(d, Prior(0.3), DecoderId.DD, trials, 4, workers=10_000)
+        assert [(pool.max_workers, pool.submitted) for pool in serial_pools] == [
+            (3, [0, 1, 2, 3, 4])
+        ]
+        assert many == monte_carlo_error(d, Prior(0.3), DecoderId.DD, trials, 4, workers=5)
+
+    def test_each_outcome_decoded_once_across_threads(self, serial_pools, monkeypatch):
+        d = gen_doubly_regular(30, 2, 3, seed=5)
+        original = sim.decode_mask
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        def decode_calls() -> int:
+            calls.clear()
+            monte_carlo_error(d, Prior(0.1), DecoderId.MAP, 4 * sim.BLOCK_TRIALS, 3, workers=2)
+            return len(calls)
+
+        monkeypatch.setattr(sim, "decode_mask", counting)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        expected = decode_calls()  # one worker after the other: no race possible
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", ThreadPoolExecutor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = [decode_calls() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [expected] * 3
+
     def test_validation(self):
         d = new_design([{0}], 1)
         with pytest.raises(ValueError):
@@ -142,7 +235,7 @@ class TestMonteCarlo:
     def test_json_round_trip(self):
         d = new_design([{0, 1}], 2)
         result = monte_carlo_error(d, Prior(0.3), DecoderId.MAP, 5_000, 11, workers=2)
-        parsed = SimResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        parsed = from_dict(SimResult, json.loads(json.dumps(to_dict(result))))
         assert parsed == result
 
 
@@ -219,7 +312,7 @@ class TestVerifyTheorem:
 
     def test_json_round_trip(self):
         report = verify_theorem(new_design([{0, 1}], 2), Prior(0.3))
-        parsed = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        parsed = from_dict(VerificationReport, json.loads(json.dumps(to_dict(report))))
         assert parsed == report
 
 
