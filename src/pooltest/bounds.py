@@ -25,13 +25,19 @@ class BoundReport:
     counting_bound: float | None = None
 
 
+def _log_disguise_term(prior: Prior, w: int) -> float:
+    """ln(1 - q^(w-1)): the log chance a weight-w test disguises a given member."""
+    # a weight-1 test can never disguise its only member
+    if w <= 1:
+        return float("-inf")
+    return math.log1p(-(prior.q ** (w - 1)))
+
+
 def weight_log_term(prior: Prior, w: int) -> float:
     """w * ln(1 - q^(w-1)): the weighted log chance a weight-w test disguises a member."""
     if w < 1:
         raise ValueError(f"test weight must be at least 1, got {w}")
-    if w == 1:
-        return float("-inf")
-    return w * math.log1p(-(prior.q ** (w - 1)))
+    return w * _log_disguise_term(prior, w)
 
 
 def l_star(prior: Prior) -> tuple[float, int]:

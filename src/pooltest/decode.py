@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .design import TestDesign, _bit_positions
+from .design import TestDesign, _bit_positions, _reindex_masks
 from .errors import BudgetExceededError, InconsistentOutcomeError
 from .model import DefectiveSet, OutcomeVector, Prior
 
@@ -97,16 +97,10 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
         survivors = mask & pd
         if survivors & (survivors - 1) == 0:
             forced |= survivors
-    uncovered = [mask & pd for mask in positive if mask & forced == 0]
+    uncovered = (mask & pd & ~forced for mask in positive if mask & forced == 0)
     free_items = _bit_positions(pd & ~forced)
-    positions = {item: j for j, item in enumerate(free_items)}
     width = len(free_items)
-    compact_tests = []
-    for mask in uncovered:
-        sub = 0
-        for item in _bit_positions(mask & ~forced):
-            sub |= 1 << positions[item]
-        compact_tests.append(sub)
+    compact_tests = _reindex_masks(uncovered, free_items)
 
     for size in range(width + 1):
         for candidate in _masks_of_weight(width, size):

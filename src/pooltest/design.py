@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,6 +73,21 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _reindex_masks(masks: Iterable[int], items: Sequence[int]) -> list[int]:
+    """Re-pack each mask onto ``items``: bit j of the result is bit ``items[j]``.
+
+    Every set bit of every mask must be one of ``items``.
+    """
+    positions = {item: j for j, item in enumerate(items)}
+    out = []
+    for mask in masks:
+        sub = 0
+        for item in _bit_positions(mask):
+            sub |= 1 << positions[item]
+        out.append(sub)
+    return out
 
 
 def _mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -180,21 +195,13 @@ def reduce_design(design: TestDesign) -> tuple[TestDesign, ReductionLog]:
         tests = [(o, m & clear) for o, m in tests]
 
     item_map = tuple(i for i in range(design.n) if alive[i])
-    new_pos = {orig: j for j, orig in enumerate(item_map)}
-    reduced_masks = []
-    test_map = []
-    for orig_t, mask in tests:
-        compact = 0
-        for i in _bit_positions(mask):
-            compact |= 1 << new_pos[i]
-        reduced_masks.append(compact)
-        test_map.append(orig_t)
+    reduced_masks = _reindex_masks((mask for _, mask in tests), item_map)
     reduced = TestDesign(n=len(item_map), row_masks=tuple(reduced_masks))
     log = ReductionLog(
         removed_empty_tests=tuple(removed_empty),
         resolved_items=tuple(resolved),
         item_map=item_map,
-        test_map=tuple(test_map),
+        test_map=tuple(orig_t for orig_t, _ in tests),
     )
     return reduced, log
 

@@ -14,14 +14,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import bounds
-from .design import TestDesign, _bit_positions
+from .design import TestDesign, _bit_positions, _reindex_masks
 from .errors import BudgetExceededError
-from .model import Prior
+from .model import Prior, count_by_size
 
 CO_ITEM_BUDGET = 25
-_CHUNK = 1 << 20
-
-_POP16: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -58,13 +55,6 @@ def _check_item(design: TestDesign, i: int) -> None:
         raise ValueError(f"item index {i} outside [0, {design.n})")
 
 
-def _log_disguise_term(q: float, w: int) -> float:
-    # ln(1 - q^(w-1)); a weight-1 test can never disguise its only member.
-    if w <= 1:
-        return float("-inf")
-    return math.log1p(-(q ** (w - 1)))
-
-
 def co_items(design: TestDesign, i: int) -> tuple[int, ...]:
     """Items sharing at least one test with item ``i``."""
     _check_item(design, i)
@@ -87,18 +77,8 @@ def disguise_bound(design: TestDesign, i: int, prior: Prior) -> tuple[float, flo
     total = 0.0
     for t, m in enumerate(design.row_masks):
         if m >> i & 1:
-            total += _log_disguise_term(prior.q, design.weights[t])
+            total += bounds._log_disguise_term(prior, design.weights[t])
     return total, math.exp(total)
-
-
-def _pop16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        table = np.zeros(1, dtype=np.uint8)
-        while table.size < 1 << 16:
-            table = np.concatenate([table, table + 1])
-        _POP16 = table
-    return _POP16
 
 
 @lru_cache(maxsize=16384)
@@ -110,39 +90,27 @@ def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
     patterns in which every test containing i holds a defective other than i.
     """
     co = co_items(design, i)
-    positions = {item: j for j, item in enumerate(co)}
     m = len(co)
     if m > CO_ITEM_BUDGET:
         raise BudgetExceededError(
             f"item {i} shares tests with {m} items, over the enumeration budget of {CO_ITEM_BUDGET}"
         )
-    submasks = []
-    for mask in design.row_masks:
-        if mask >> i & 1:
-            sub = 0
-            for other in _bit_positions(mask & ~(1 << i)):
-                sub |= 1 << positions[other]
-            submasks.append(sub)
+    own_tests = (mask & ~(1 << i) for mask in design.row_masks if mask >> i & 1)
+    submasks = [np.uint32(sub) for sub in _reindex_masks(own_tests, co)]
 
-    counts = np.zeros(m + 1, dtype=np.int64)
-    pop = _pop16()
-    for start in range(0, 1 << m, _CHUNK):
-        stop = min(start + _CHUNK, 1 << m)
-        patterns = np.arange(start, stop, dtype=np.uint32)
+    def disguised(patterns: np.ndarray) -> np.ndarray:
         ok = np.ones(patterns.size, dtype=bool)
         for sub in submasks:
-            ok &= (patterns & np.uint32(sub)) != 0
-        popcounts = (pop[patterns & 0xFFFF] + pop[patterns >> 16]).astype(np.intp)
-        counts += np.bincount(popcounts[ok], minlength=m + 1)
-    return tuple(int(c) for c in counts)
+            ok &= (patterns & sub) != 0
+        return ok
+
+    return count_by_size(m, disguised)
 
 
 def exact_disguise_prob(design: TestDesign, i: int, prior: Prior) -> float:
     """Exact probability that item i is totally disguised, by brute enumeration."""
     _check_item(design, i)
-    counts = _pattern_counts(design, i)
-    m = len(counts) - 1
-    return float(sum(c * prior.weight(j, m) for j, c in enumerate(counts) if c))
+    return prior.probability(_pattern_counts(design, i))
 
 
 def mean_log_bound(
@@ -167,7 +135,7 @@ def mean_log_bound(
         items.append(ItemDisguise(item=i, log_bound=log_b, fkg_bound=fkg_b, exact_prob=exact))
 
     mean_items = sum(it.log_bound for it in items) / n if n else 0.0
-    per_test = [w * _log_disguise_term(prior.q, w) for w in design.weights if w >= 1]
+    per_test = [bounds.weight_log_term(prior, w) for w in design.weights if w >= 1]
     mean_tests = sum(per_test) / n if n else 0.0
     min_term = min(per_test) if per_test else None
     scaled = (design.T / n) * min_term if (min_term is not None and n) else None

@@ -1,13 +1,15 @@
-"""Defectivity prior, defective sets, and the OR test channel."""
+"""Defectivity prior, defective sets, the OR test channel, and subset counting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .design import TestDesign, _bit_positions, _mask_from_indices, _pack_row
+
+BLOCK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,12 @@ class Prior:
     def weight(self, defectives: int, n: int) -> float:
         """Prior probability of one particular defective set of the given size."""
         return self.p**defectives * self.q ** (n - defectives)
+
+    def probability(self, counts: Sequence[int]) -> float:
+        """Prior probability of an event over m = len(counts) - 1 items that holds
+        on counts[j] sets of size j: the sum of counts[j] p^j q^(m-j)."""
+        m = len(counts) - 1
+        return float(sum(c * self.weight(j, m) for j, c in enumerate(counts) if c))
 
 
 @dataclass(frozen=True)
@@ -113,3 +121,19 @@ def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:
         )
     k = defectives.mask
     return OutcomeVector(tuple(bool(m & k) for m in design.row_masks))
+
+
+def count_by_size(m: int, event: Callable[[np.ndarray], np.ndarray]) -> tuple[int, ...]:
+    """Count, by size j, the subsets of m items on which ``event`` holds.
+
+    The 2^m subsets are walked in increasing order as uint32 bitmasks (bit
+    ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`; ``event`` maps a block
+    of bitmasks to one boolean per bitmask.
+    """
+    if not 0 <= m <= 32:
+        raise ValueError(f"cannot enumerate the subsets of {m} items as uint32 bitmasks")
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for start in range(0, 1 << m, BLOCK_TRIALS):
+        ks = np.arange(start, min(start + BLOCK_TRIALS, 1 << m), dtype="<u4")
+        counts += np.bincount(np.bitwise_count(ks[event(ks)]), minlength=m + 1)
+    return tuple(int(c) for c in counts)

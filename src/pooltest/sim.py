@@ -14,9 +14,8 @@ from . import bounds, disguise
 from .decode import MAP_ITEM_BUDGET, DecoderId, decode_mask
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import Prior
+from .model import BLOCK_TRIALS, Prior, count_by_size
 
-BLOCK_TRIALS = 4096
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
 FLOOR_TOLERANCE = 1e-12
@@ -131,13 +130,12 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
         )
     n = design.n
     wrong = _error_tally(design, prior, decoder)
-    errors_by_size = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, 1 << n, BLOCK_TRIALS):
-        ks = np.arange(start, min(start + BLOCK_TRIALS, 1 << n), dtype="<u4")
+
+    def errs(ks: np.ndarray) -> np.ndarray:
         bits = np.unpackbits(ks.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
-        sets = bits.view(bool)
-        errors_by_size += np.bincount(sets.sum(axis=1)[wrong(sets)], minlength=n + 1)
-    return float(sum(int(c) * prior.weight(j, n) for j, c in enumerate(errors_by_size) if c))
+        return wrong(bits.view(bool))
+
+    return prior.probability(count_by_size(n, errs))
 
 
 def _design_matrix(design: TestDesign) -> np.ndarray:
@@ -272,22 +270,18 @@ def verify_theorem(
         observed = monte_carlo_error(design, prior, DecoderId.COMP, trials, seed, workers).ci_low
         method = "mc-comp"
 
-    checks = []
-    skipped = []
-    for i in range(design.n):
-        _, bound_i = disguise.disguise_bound(design, i, prior)
-        if len(disguise.co_items(design, i)) <= disguise.CO_ITEM_BUDGET:
-            exact_i = disguise.exact_disguise_prob(design, i, prior)
-            checks.append(
-                LemmaCheck(
-                    item=i,
-                    exact=exact_i,
-                    bound=bound_i,
-                    passed=exact_i >= bound_i - FLOOR_TOLERANCE,
-                )
-            )
-        else:
-            skipped.append(i)
+    items = disguise.mean_log_bound(design, prior, exact_budget=disguise.CO_ITEM_BUDGET).items
+    checks = [
+        LemmaCheck(
+            item=it.item,
+            exact=it.exact_prob,
+            bound=it.fkg_bound,
+            passed=it.exact_prob >= it.fkg_bound - FLOOR_TOLERANCE,
+        )
+        for it in items
+        if it.exact_prob is not None
+    ]
+    skipped = [it.item for it in items if it.exact_prob is None]
     theorem_pass = observed >= floor - FLOOR_TOLERANCE if applicable else None
     return VerificationReport(
         design_summary=f"{design.T} tests x {design.n} items",

@@ -63,11 +63,19 @@ class TestExactDisguiseProb:
 
     def test_matches_full_enumeration_oracle(self):
         rng = np.random.default_rng(21)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(2, 9))
             T = int(rng.integers(1, 7))
             d = helpers.random_messy_design(rng, n, T)
-            i = int(rng.integers(0, n))
+            cases.append((d, int(rng.integers(0, n))))
+        # 13 and 14 co-items: the 2^m patterns span two and four enumeration blocks
+        wide = [
+            (new_design([{0, *range(1, 8)}, {0, *range(6, 14)}, {2, 9, 14}, {0, 3, 11}], 15), 0),
+            (new_design([{*range(6), 7}, {5, 6, *range(8, 12)}, {5, 12, 13, 14}, {1, 15}], 16), 5),
+        ]
+        assert [len(co_items(d, i)) for d, i in wide] == [13, 14]
+        for d, i in cases + wide:
             for p in (0.2, 0.5, 0.8):
                 expected = helpers.exact_disguise_oracle(d, i, p)
                 assert exact_disguise_prob(d, i, Prior(p)) == pytest.approx(

@@ -17,6 +17,7 @@ from pooltest import (
     SimResult,
     TestDesign,
     VerificationReport,
+    co_items,
     disguise_frequency,
     doubly_regular_disguise_bound,
     epsilon_bound,
@@ -32,6 +33,7 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
+from pooltest.disguise import CO_ITEM_BUDGET
 
 import helpers
 
@@ -309,6 +311,20 @@ class TestVerifyTheorem:
         d = helpers.random_min2_design(np.random.default_rng(3), 32, 10)
         report = verify_theorem(d, Prior(0.3), trials=2_000, seed=1)
         assert report.method == "mc-comp"
+
+    def test_co_item_budget_skip_path(self):
+        # items 0-26 share tests with 26 or 27 others, item 27 with exactly
+        # CO_ITEM_BUDGET, items 28-31 with one; n = 32 is over the MAP budget
+        d = new_design([set(range(27)), {27, *range(1, 26)}, {28, 29}, {30, 31}], 32)
+        report = verify_theorem(d, Prior(0.1), trials=300, seed=0)
+        assert report.method == "mc-comp"
+        assert len(co_items(d, 27)) == CO_ITEM_BUDGET
+        over = tuple(i for i in range(d.n) if len(co_items(d, i)) > CO_ITEM_BUDGET)
+        assert over == tuple(range(27))
+        assert report.lemma_skipped == over
+        assert [c.item for c in report.lemma_checks] == [27, 28, 29, 30, 31]
+        assert report.lemma_checks[0].exact == pytest.approx(1 - 0.9**25, rel=1e-12)
+        assert all(c.passed for c in report.lemma_checks)
 
     def test_json_round_trip(self):
         report = verify_theorem(new_design([{0, 1}], 2), Prior(0.3))
