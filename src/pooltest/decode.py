@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
+import numpy as np
+
 from .design import TestDesign, _bit_positions, _reindex_masks
 from .errors import BudgetExceededError, InconsistentOutcomeError
 from .model import DefectiveSet, OutcomeVector, Prior
@@ -50,6 +52,30 @@ def dd_mask(design: TestDesign, y_sig: int) -> int:
             if survivors and survivors & (survivors - 1) == 0:
                 estimate |= survivors
     return estimate
+
+
+def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
+    """COMP on a block of outcomes, one per row of the boolean ``positive`` (s x T).
+
+    Returns the s x n boolean estimates: the items in no negative test.  Row r
+    equals `comp_mask` of row r's outcome.
+    """
+    return (~positive).astype(np.float32) @ design.matrix == 0
+
+
+def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
+    """DD on a block of outcomes, one per row of the boolean ``positive`` (s x T).
+
+    Returns the s x n boolean estimates: the COMP survivors that are the sole
+    survivor of some positive test.  Row r equals `dd_mask` of row r's outcome.
+    The survivor count of each test is a float32 sum of at most its weight
+    ones, so it is exact, and ``== 1`` is safe, while every test weight is
+    below 2^24; the simulator's callers keep n itself at most 2^22.
+    """
+    X = design.matrix
+    survivors = comp_block(design, positive)
+    sole = positive & (survivors.astype(np.float32) @ X.T == 1)
+    return survivors & (sole.astype(np.float32) @ X > 0)
 
 
 def _masks_of_weight(width: int, weight: int) -> Iterator[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,9 +18,9 @@ class TestDesign:
     """A T x n binary inclusion matrix.
 
     Rows are stored as integer bitmasks (bit ``i`` set means item ``i`` is in
-    the test), with per-test weights cached at construction.  Instances are
-    immutable and hashable, so they can be shared across threads and used as
-    cache keys.
+    the test), with per-test weights cached at construction and the dense
+    matrix built on first use.  Instances are immutable and hashable, so they
+    can be shared across threads and used as cache keys.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -45,6 +46,21 @@ class TestDesign:
 
     def items_in_test(self, t: int) -> tuple[int, ...]:
         return _bit_positions(self.row_masks[t])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only T x n float32 inclusion matrix: entry (t, i) is 1 iff item i is in test t.
+
+        Not a dataclass field, so equality, hashing, ``repr`` and serialization
+        ignore it.
+        """
+        nbytes = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(m.to_bytes(nbytes, "little") for m in self.row_masks), dtype=np.uint8
+        ).reshape(self.T, nbytes)
+        X = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(np.float32)
+        X.flags.writeable = False
+        return X
 
 
 @dataclass(frozen=True)

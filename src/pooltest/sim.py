@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, disguise
-from .decode import MAP_ITEM_BUDGET, DecoderId, decode_mask
+from .decode import MAP_ITEM_BUDGET, DecoderId, comp_block, dd_block, decode_mask
 from .design import TestDesign
 from .errors import BudgetExceededError
 from .model import BLOCK_TRIALS, Prior, count_by_size
@@ -19,6 +19,10 @@ from .model import BLOCK_TRIALS, Prior, count_by_size
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
 FLOOR_TOLERANCE = 1e-12
+# Most values (trials x max(n, T)) one sampled chunk may hold.  Chunks split
+# blocks without changing the draws: a generator fills arrays row by row.
+# Designs with n and T up to 1024 fit a whole block of BLOCK_TRIALS in one chunk.
+CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -89,19 +93,28 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
     """Return ``wrong(sets)``, which flags the defective sets the decoder gets wrong.
 
     ``sets`` is a boolean block, one row per defective set.  The block goes
-    through the OR channel as one matrix product; each distinct outcome row is
-    decoded once per tally, however many blocks or threads share it, because
-    the cache lookup, the decode on a miss and the insertion hold one lock.
+    through the OR channel as one matrix product.  COMP and DD then decode the
+    whole block by matrix products (`comp_block`, `dd_block`).  MAP decodes
+    each distinct outcome row once per tally, however many blocks or threads
+    share it, because the cache lookup, the decode on a miss and the insertion
+    hold one lock.
     """
-    X = _design_matrix(design).T
+    X = design.matrix.T
+
+    def or_channel(sets: np.ndarray) -> np.ndarray:
+        return (sets.astype(np.float32) @ X) > 0.5
+
+    if decoder is not DecoderId.MAP:
+        decode_block = comp_block if decoder is DecoderId.COMP else dd_block
+        return lambda sets: (decode_block(design, or_channel(sets)) != sets).any(axis=1)
+
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
     lock = threading.Lock()
 
     def wrong(sets: np.ndarray) -> np.ndarray:
         if design.T:
-            positive = (sets.astype(np.float32) @ X) > 0.5
-            packed_y = np.packbits(positive, axis=1, bitorder="little")
+            packed_y = np.packbits(or_channel(sets), axis=1, bitorder="little")
         else:
             packed_y = np.zeros((len(sets), 1), dtype=np.uint8)
         rows = packed_y.view(np.dtype((np.void, packed_y.shape[1]))).ravel()
@@ -138,11 +151,18 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
     return prior.probability(count_by_size(n, errs))
 
 
-def _design_matrix(design: TestDesign) -> np.ndarray:
-    X = np.zeros((design.T, design.n), dtype=np.float32)
-    for t in range(design.T):
-        X[t, list(design.items_in_test(t))] = 1.0
-    return X
+def _chunk_rows(design: TestDesign) -> int:
+    """Rows of one sampled chunk: at most `CHUNK_ELEMENTS` over max(n, T) columns.
+
+    Raises `BudgetExceededError` when a single row is over the budget.
+    """
+    width = max(design.n, design.T)
+    if width > CHUNK_ELEMENTS:
+        raise BudgetExceededError(
+            f"one trial over {design.n} items and {design.T} tests spans {width} values, "
+            f"over the chunk budget of {CHUNK_ELEMENTS}"
+        )
+    return CHUNK_ELEMENTS // width
 
 
 def monte_carlo_error(
@@ -160,7 +180,8 @@ def monte_carlo_error(
     substream seeded by (master_seed, w).  The result is therefore a
     deterministic function of (inputs, master_seed, workers), independent of
     scheduling.  Only workers that own a block run, on at most as many
-    threads as there are CPUs.
+    threads as there are CPUs.  Each block is sampled and decoded in chunks of
+    at most `CHUNK_ELEMENTS` values.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -169,6 +190,7 @@ def monte_carlo_error(
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
     n = design.n
+    rows = _chunk_rows(design)
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     wrong = _error_tally(design, prior, decoder)
 
@@ -177,7 +199,9 @@ def monte_carlo_error(
         errors = 0
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            errors += int(np.count_nonzero(wrong(rng.random((size, n)) < prior.p)))
+            for start in range(0, size, rows):
+                sets = rng.random((min(rows, size - start), n)) < prior.p
+                errors += int(np.count_nonzero(wrong(sets)))
         return errors
 
     active = min(workers, nblocks)
@@ -205,33 +229,23 @@ def disguise_frequency(
     """Monte Carlo frequency of item i being totally disguised.
 
     Each trial samples the other items' defectivity and checks that every
-    test containing i holds some defective besides i.  Returned with
-    ``decoder=None``; ``errors`` counts the disguise hits.
+    test containing i holds some defective besides i, by one matrix product
+    with those tests' rows, item i cleared; a test holding only i is then an
+    all-zero row that no trial disguises.  Returned with ``decoder=None``;
+    ``errors`` counts the disguise hits.
     """
     if not 0 <= i < design.n:
         raise ValueError(f"item index {i} outside [0, {design.n})")
     if trials < 1:
         raise ValueError("trials must be positive")
-    co_tests = [
-        np.array(design.items_in_test(t), dtype=np.intp)
-        for t, mask in enumerate(design.row_masks)
-        if mask >> i & 1
-    ]
-    co_tests = [idx[idx != i] for idx in co_tests]
+    rows = min(8192, _chunk_rows(design))
+    own_tests = design.matrix[design.matrix[:, i] == 1]
+    own_tests[:, i] = 0
     rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < trials:
-        size = min(8192, trials - done)
-        sample = rng.random((size, design.n)) < prior.p
-        ok = np.ones(size, dtype=bool)
-        for idx in co_tests:
-            if idx.size == 0:
-                ok[:] = False
-                break
-            ok &= sample[:, idx].any(axis=1)
-        hits += int(np.count_nonzero(ok))
-        done += size
+    for done in range(0, trials, rows):
+        sample = rng.random((min(rows, trials - done), design.n)) < prior.p
+        hits += int(np.count_nonzero(((sample @ own_tests.T) > 0).all(axis=1)))
     low, high = wilson_interval(hits, trials)
     return SimResult(
         trials=trials,

@@ -36,6 +36,11 @@ def outcome_signature(design: TestDesign, k_mask: int) -> int:
     return sig
 
 
+def mask_of_row(row) -> int:
+    """Bitmask of a boolean row: bit i set iff row[i]."""
+    return sum(1 << int(i) for i in np.flatnonzero(row))
+
+
 def set_weight(p: float, k_mask: int, n: int) -> float:
     k = bin(k_mask).count("1")
     return p**k * (1.0 - p) ** (n - k)
@@ -101,13 +106,35 @@ def monte_carlo_errors_reference(
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
             for row in rng.random((size, design.n)) < p:
-                k = sum(1 << int(i) for i in np.flatnonzero(row))
+                k = mask_of_row(row)
                 sig = outcome_signature(design, k)
                 if sig not in decoded:
                     decoded[sig] = decode_mask(design, sig, decoder, prior)
                 if decoded[sig] != k:
                     errors += 1
     return errors
+
+
+def disguise_hits_reference(design: TestDesign, p: float, i: int, trials: int, seed: int) -> int:
+    """Disguise hits of `disguise_frequency`, by a loop over the tests containing i.
+
+    Draws exactly what the library draws, one stream from ``seed`` filled row
+    by row, in blocks of 8192 trials; a test holding only i is never disguised.
+    """
+    co_tests = [
+        np.array([j for j in design.items_in_test(t) if j != i], dtype=np.intp)
+        for t, mask in enumerate(design.row_masks)
+        if mask >> i & 1
+    ]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, trials, 8192):
+        sample = rng.random((min(8192, trials - done), design.n)) < p
+        ok = np.ones(len(sample), dtype=bool)
+        for idx in co_tests:
+            ok &= sample[:, idx].any(axis=1) if idx.size else False
+        hits += int(np.count_nonzero(ok))
+    return hits
 
 
 def brute_force_optimal_error(design: TestDesign, p: float) -> float:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pooltest import Prior, epsilon_bound, gen_individual, parse_design, save_design
+from pooltest import Prior, epsilon_bound, gen_individual, parse_design, save_design, sim
 from pooltest.cli import run
 
 
@@ -155,6 +155,14 @@ class TestSimulateCommand:
              "--trials", "5000", "--seed", "7", "--workers", "4", "--json"])
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+    def test_trial_over_chunk_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 1000)
+        f = tmp_path / "wide.txt"
+        f.write_text("0 1001\n")
+        assert run(["simulate", "--design", str(f), "--decoder", "comp", "-p", "0.3",
+                    "--trials", "10", "--seed", "1"]) == 1
+        assert "chunk budget of 1000" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -12,12 +12,14 @@ from pooltest import (
     InconsistentOutcomeError,
     OutcomeVector,
     Prior,
+    TestDesign,
     decode,
+    gen_doubly_regular,
     new_design,
     outcomes,
 )
 
-from pooltest.decode import comp_mask, dd_mask, map_mask
+from pooltest.decode import comp_block, comp_mask, dd_block, dd_mask, map_mask
 
 import helpers
 
@@ -142,6 +144,44 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
     y = outcomes(design, DefectiveSet(n=design.n, mask=k))
     comp = decode(design, y, DecoderId.COMP).mask
     assert k & comp == k
+
+
+class TestBlockKernels:
+    """`comp_block`/`dd_block` agree row by row with `comp_mask`/`dd_mask`."""
+
+    @staticmethod
+    def _check(design, signatures):
+        positive = np.array(
+            [[bool(sig >> t & 1) for t in range(design.T)] for sig in signatures], dtype=bool
+        ).reshape(len(signatures), design.T)
+        for block, single in ((comp_block, comp_mask), (dd_block, dd_mask)):
+            estimates = block(design, positive)
+            assert estimates.dtype == bool and estimates.shape == (len(signatures), design.n)
+            for row, sig in zip(estimates, signatures):
+                assert helpers.mask_of_row(row) == single(design, sig)
+
+    def test_every_outcome_of_small_messy_designs(self):
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            n, T = int(rng.integers(1, 10)), int(rng.integers(0, 7))
+            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            self._check(d, list(range(1 << d.T)))
+
+    def test_random_outcomes_of_wider_designs(self):
+        rng = np.random.default_rng(52)
+        for n, T in ((40, 25), (70, 12), (130, 60)):
+            d = helpers.random_messy_design(rng, n, T)
+            d = TestDesign(n=n + 3, row_masks=d.row_masks + (0,))  # items in no test
+            sigs = [helpers.mask_of_row(rng.random(d.T) < 0.5) for _ in range(40)]
+            sets = [helpers.mask_of_row(rng.random(d.n) < 0.1) for _ in range(40)]
+            sigs += [helpers.outcome_signature(d, k) for k in sets]
+            self._check(d, sigs + [0, (1 << d.T) - 1])
+
+    def test_doubly_regular_outcomes_of_sampled_sets(self):
+        d = gen_doubly_regular(600, 2, 4, seed=3)
+        rng = np.random.default_rng(53)
+        sets = rng.random((64, d.n)) < 0.02
+        self._check(d, [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets])
 
 
 class TestMapOptimality:

@@ -13,6 +13,7 @@ from pooltest import (
     new_design,
     parse_design,
     reduce_design,
+    to_dict,
 )
 
 import helpers
@@ -121,6 +122,32 @@ class TestRowWeights:
 
     def test_mixed(self):
         assert new_design([{0, 1}, set(), {0, 1, 2}], 3).weights == (2, 0, 3)
+
+
+class TestMatrix:
+    def test_entries_match_row_masks(self):
+        rng = np.random.default_rng(12)
+        for n, T in ((1, 0), (5, 3), (9, 6), (17, 4), (40, 7)):
+            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            X = d.matrix
+            assert X.dtype == np.float32 and X.shape == (T, n)
+            for t in range(T):
+                for i in range(n):
+                    assert X[t, i] == (1.0 if d.row_masks[t] >> i & 1 else 0.0)
+
+    def test_built_once_and_read_only(self):
+        d = new_design([{0, 2}, {1}], 3)
+        assert d.matrix is d.matrix
+        with pytest.raises(ValueError):
+            d.matrix[0, 0] = 0.0
+
+    def test_not_part_of_value(self):
+        d = new_design([{0, 2}, {1}], 3)
+        fresh = new_design([{0, 2}, {1}], 3)
+        d.matrix
+        assert d == fresh and hash(d) == hash(fresh)
+        assert repr(d) == repr(fresh) == "TestDesign(n=3, row_masks=(5, 2))"
+        assert to_dict(d) == to_dict(fresh) and "matrix" not in to_dict(d)
 
 
 class TestReduce:

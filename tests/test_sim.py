@@ -191,6 +191,48 @@ class TestMonteCarlo:
                     )
                     assert got.errors == expected
 
+    def test_n600_matches_per_row_loop(self):
+        d = gen_doubly_regular(600, 2, 4, seed=8)  # rows span 75 packed bytes
+        trials = sim.BLOCK_TRIALS + 300  # one full block and a partial one
+        for p in (0.02, 0.1):
+            for decoder in (DecoderId.COMP, DecoderId.DD):
+                got = monte_carlo_error(d, Prior(p), decoder, trials, 6)
+                expected = helpers.monte_carlo_errors_reference(d, p, decoder, trials, 6, 1)
+                assert got.errors == expected
+
+    def test_chunks_leave_counts_unchanged(self, monkeypatch):
+        d = new_design([{0, 1}, {1, 2, 3}, {3, 4}, set()], 6)
+        trials = 2 * sim.BLOCK_TRIALS + 5
+        whole = {dec: monte_carlo_error(d, Prior(0.3), dec, trials, 9, 2) for dec in DecoderId}
+        chunks = []
+        original = sim._error_tally
+
+        def recording(*args):
+            wrong = original(*args)
+
+            def recorded(sets):
+                chunks.append(len(sets))
+                return wrong(sets)
+
+            return recorded
+
+        monkeypatch.setattr(sim, "_error_tally", recording)
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6 * 1000 + 5)  # 1000 rows of 6 items
+        for decoder in DecoderId:
+            chunks.clear()
+            assert monte_carlo_error(d, Prior(0.3), decoder, trials, 9, 2) == whole[decoder]
+            assert sum(chunks) == trials and max(chunks) == 1000
+
+    def test_row_over_chunk_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6)
+        for d in (TestDesign(n=7, row_masks=()), new_design([{0}] * 7, 2)):
+            for decoder in DecoderId:
+                with pytest.raises(BudgetExceededError, match="chunk budget of 6"):
+                    monte_carlo_error(d, Prior(0.3), decoder, 10, 0)
+            with pytest.raises(BudgetExceededError):
+                disguise_frequency(d, Prior(0.3), 0, 10, 0)
+        monte_carlo_error(TestDesign(n=6, row_masks=()), Prior(0.3), DecoderId.COMP, 10, 0)
+
     def test_pool_bounded_by_blocks_and_cpus(self, serial_pools, monkeypatch):
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
         d = new_design([{0, 1}, {1, 2}], 3)
@@ -265,6 +307,26 @@ class TestDisguiseFrequency:
         floor = doubly_regular_disguise_bound(pr, 2, 4)
         stderr = math.sqrt(result.estimate * (1 - result.estimate) / result.trials)
         assert result.estimate >= floor - 3 * stderr
+
+    def test_matches_per_co_test_loop(self):
+        rng = np.random.default_rng(47)
+        # item 0 has a test to itself; item 3 is in no test
+        designs = [new_design([{0}, {0, 1}, {1, 2}], 4)]
+        for _ in range(12):
+            n, T = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            designs.append(helpers.random_messy_design(rng, n, T))
+        designs.append(gen_doubly_regular(600, 2, 4, seed=2))
+        for k, d in enumerate(designs):
+            for i in sorted({0, d.n // 2, d.n - 1}):
+                for p in (0.05, 0.5):
+                    got = disguise_frequency(d, Prior(p), i, 9000, k)
+                    assert got.errors == helpers.disguise_hits_reference(d, p, i, 9000, k)
+
+    def test_chunks_leave_hits_unchanged(self, monkeypatch):
+        d = gen_doubly_regular(60, 2, 4, seed=9)
+        whole = disguise_frequency(d, Prior(0.3), 5, 20_000, 8)
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 60 * 777)
+        assert disguise_frequency(d, Prior(0.3), 5, 20_000, 8) == whole
 
     def test_deterministic(self):
         d = new_design([{0, 1}], 2)
