@@ -1,22 +1,25 @@
-"""Disguise probabilities: exact enumeration and correlation-based lower bounds.
+"""Disguise probabilities: exact counts and correlation-based lower bounds.
 
 An item is disguised in a test when some *other* member of that test is
 defective, and totally disguised when that holds for every test containing
 it; a totally disguised item's own status leaves no trace in the outcomes.
+The exact probability comes from counting, by size, the defectivity patterns
+of the item's co-items that disguise it: by inclusion-exclusion over the
+item's own tests, or by walking every pattern when its minimal own-test
+co-sets outnumber its co-items.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import bounds
 from .design import TestDesign, _bit_positions, _reindex_masks
 from .errors import BudgetExceededError
-from .model import Prior, count_by_size
+from .model import BLOCK_TRIALS, Prior, count_by_size
 
 CO_ITEM_BUDGET = 25
 
@@ -81,13 +84,52 @@ def disguise_bound(design: TestDesign, i: int, prior: Prior) -> tuple[float, flo
     return total, math.exp(total)
 
 
-@lru_cache(maxsize=16384)
+def _minimal_sets(masks: list[int]) -> list[int]:
+    """The distinct masks that contain no other mask of the list."""
+    minimal: list[int] = []
+    for mask in sorted(set(masks), key=int.bit_count):
+        if all(kept & ~mask for kept in minimal):
+            minimal.append(mask)
+    return minimal
+
+
+def _inclusion_exclusion_counts(m: int, sets: list[int]) -> tuple[int, ...]:
+    """Count, by size j, the subsets of m items that meet every one of ``sets``.
+
+    The subsets missing all of the sets in A number C(m - |union A|, j), so
+    the count is the sum over every A of (-1)^|A| C(m - |union A|, j).  The
+    2^len(sets) choices of A are walked as bitmasks in blocks of `BLOCK_TRIALS`
+    and histogrammed by the parity of |A| and by |union A|; the binomials are
+    then applied in exact integers.
+    """
+    hist = np.zeros(2 * (m + 1), dtype=np.int64)
+    for start in range(0, 1 << len(sets), BLOCK_TRIALS):
+        choices = np.arange(start, min(start + BLOCK_TRIALS, 1 << len(sets)), dtype="<u4")
+        union = np.zeros(choices.size, dtype="<u4")
+        for t, s in enumerate(sets):
+            union |= s * (choices >> t & 1)
+        parity = np.bitwise_count(choices) & 1
+        hist += np.bincount(parity * (m + 1) + np.bitwise_count(union), minlength=2 * (m + 1))
+    by_union = hist.tolist()
+    counts = [0] * (m + 1)
+    for u, (even, odd) in enumerate(zip(by_union[: m + 1], by_union[m + 1 :])):
+        if even != odd:
+            for j in range(m - u + 1):
+                counts[j] += (even - odd) * math.comb(m - u, j)
+    return tuple(counts)
+
+
 def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
     """Count, by defective count j, the co-item patterns that totally disguise i.
 
-    Enumerates all 2^m defectivity patterns of the m items sharing a test with
-    item i (items outside those tests cannot affect the event) and tallies the
-    patterns in which every test containing i holds a defective other than i.
+    Only the m items sharing a test with item i can affect the event, which
+    holds when every test containing i holds a defective other than i, that
+    is, when the pattern meets each test's co-set (the test without i).  A
+    co-set containing another is met whenever the smaller one is, so only the
+    d' distinct minimal co-sets matter.  When d' < m the counts come by
+    inclusion-exclusion over those co-sets, 2^d' terms.  Otherwise (more
+    minimal co-sets than co-items, where 2^d' could far exceed 2^m) all 2^m
+    patterns are walked by `count_by_size`.
     """
     co = co_items(design, i)
     m = len(co)
@@ -96,11 +138,13 @@ def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
             f"item {i} shares tests with {m} items, over the enumeration budget of {CO_ITEM_BUDGET}"
         )
     own_tests = (mask & ~(1 << i) for mask in design.row_masks if mask >> i & 1)
-    submasks = [np.uint32(sub) for sub in _reindex_masks(own_tests, co)]
+    sets = _minimal_sets(_reindex_masks(own_tests, co))
+    if len(sets) < m:
+        return _inclusion_exclusion_counts(m, sets)
 
     def disguised(patterns: np.ndarray) -> np.ndarray:
         ok = np.ones(patterns.size, dtype=bool)
-        for sub in submasks:
+        for sub in sets:
             ok &= (patterns & sub) != 0
         return ok
 
@@ -108,7 +152,7 @@ def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
 
 
 def exact_disguise_prob(design: TestDesign, i: int, prior: Prior) -> float:
-    """Exact probability that item i is totally disguised, by brute enumeration."""
+    """Exact probability that item i is totally disguised, from exact pattern counts."""
     _check_item(design, i)
     return prior.probability(_pattern_counts(design, i))
 

@@ -171,6 +171,23 @@ def exact_disguise_oracle(design: TestDesign, i: int, p: float) -> float:
     return total
 
 
+def disguise_counts_reference(design: TestDesign, i: int) -> tuple[int, ...]:
+    """Disguising patterns of item i's co-items, tallied by size, one pattern at a time.
+
+    Entry j counts the defectivity patterns of the items sharing a test with
+    i that have j defectives and put a defective other than i in every test
+    containing i.
+    """
+    own_tests = [mask & ~(1 << i) for mask in design.row_masks if mask >> i & 1]
+    co = sorted({j for mask in own_tests for j in range(design.n) if mask >> j & 1})
+    counts = [0] * (len(co) + 1)
+    for pattern in itertools.product((0, 1), repeat=len(co)):
+        k = sum(1 << j for j, bit in zip(co, pattern) if bit)
+        if all(mask & k for mask in own_tests):
+            counts[sum(pattern)] += 1
+    return tuple(counts)
+
+
 def random_min2_design(rng: np.random.Generator, n: int, T: int) -> TestDesign:
     """Random design with every test weight >= 2."""
     rows = []

@@ -1,7 +1,9 @@
 """Tests for disguise probabilities: product bounds, exact enumeration, chain values."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from pooltest import (
     disguise_bound,
     exact_disguise_prob,
     from_dict,
+    gen_doubly_regular,
     gen_individual,
     l_star,
     mean_log_bound,
     new_design,
     to_dict,
 )
+from pooltest import disguise
 
 import helpers
 
@@ -92,6 +96,57 @@ class TestExactDisguiseProb:
         d = new_design([{0, 1}, {0, 2}, {3, 4}], 5)
         assert co_items(d, 0) == (1, 2)
         assert co_items(d, 3) == (4,)
+
+
+class TestPatternCounts:
+    # co-set {1} inside {1, 2} and {1, 3}: one minimal co-set over three co-items
+    NESTED = (new_design([{0, 1}, {0, 1, 2}, {0, 1, 3}], 4), 0)
+    SOLO = (new_design([{0}, {0, 1, 2}], 3), 0)
+    UNTESTED = (new_design([{1, 2}], 3), 0)
+    # six minimal co-sets over four co-items: only the walk is feasible
+    PAIRS = (new_design([{0, a, b} for a in range(1, 5) for b in range(a + 1, 5)], 5), 0)
+    # 14 minimal co-sets over 15 co-items: 2^14 terms span four blocks
+    CHAIN = (new_design([{0, a, a + 1} for a in range(1, 15)], 16), 0)
+    REGULAR = gen_doubly_regular(144, 2, 9, seed=1)
+
+    def test_match_per_pattern_reference(self):
+        rng = np.random.default_rng(26)
+        cases = [(new_design([], 3), i) for i in range(3)]
+        cases += [(new_design([{0, 1}, {0, 1}, {1, 2}, {0, 1}], 3), i) for i in range(3)]
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            d = helpers.random_messy_design(rng, n, int(rng.integers(0, 7)))
+            cases += [(d, i) for i in range(n)]
+        cases += [self.NESTED, self.SOLO, self.UNTESTED, self.PAIRS, self.CHAIN]
+        cases += [(self.REGULAR, i) for i in (0, 71, 143)]
+        assert [len(co_items(self.REGULAR, i)) for i in (0, 71, 143)] == [16, 16, 16]
+        for d, i in cases:
+            assert disguise._pattern_counts(d, i) == helpers.disguise_counts_reference(d, i)
+        assert disguise._pattern_counts(*self.SOLO) == (0, 0, 0)
+        assert disguise._pattern_counts(*self.UNTESTED) == (1,)
+
+    def test_walk_only_when_minimal_co_sets_outnumber_co_items(self, monkeypatch):
+        walked, walk = [], disguise.count_by_size
+
+        def recording(m, event):
+            walked.append(m)
+            return walk(m, event)
+
+        monkeypatch.setattr(disguise, "count_by_size", recording)
+        for d, i in [self.NESTED, self.SOLO, self.CHAIN, (self.REGULAR, 0)]:
+            disguise._pattern_counts(d, i)
+        assert walked == []
+        disguise._pattern_counts(*self.PAIRS)
+        assert walked == [4]
+
+    def test_no_reference_kept_to_design(self):
+        d = gen_doubly_regular(36, 2, 6, seed=2)
+        ref = weakref.ref(d)
+        exact_disguise_prob(d, 0, Prior(0.3))
+        mean_log_bound(d, Prior(0.3), exact_budget=25)
+        del d
+        gc.collect()
+        assert ref() is None
 
 
 class TestFkgInequality:
