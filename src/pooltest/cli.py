@@ -17,6 +17,10 @@ from .model import OutcomeVector, Prior
 from .serialize import to_dict
 
 _FMT = "{:.12g}"
+_WORKERS_HELP = (
+    "number of random substreams the trial blocks are dealt over (default 1); "
+    "results depend on it; the substreams run in order and start no threads"
+)
 
 
 class _UsageError(Exception):
@@ -125,7 +129,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("-p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=_default_seed())
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -134,7 +138,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("-p", type=float, required=True)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=_default_seed())
-    p_ver.add_argument("--workers", type=int, default=1)
+    p_ver.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -20,7 +20,7 @@ class TestDesign:
     Rows are stored as integer bitmasks (bit ``i`` set means item ``i`` is in
     the test), with per-test weights cached at construction and the dense
     matrix built on first use.  Instances are immutable and hashable, so they
-    can be shared across threads and used as cache keys.
+    can be used as cache keys.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -165,7 +165,7 @@ def gen_doubly_regular(n: int, l: int, r: int, seed: int) -> TestDesign:
     for _ in range(STUB_RETRY_BUDGET):
         matched = rng.permutation(stubs).reshape(T, r)
         srt = np.sort(matched, axis=1)
-        if T == 0 or r == 1 or bool((srt[:, 1:] != srt[:, :-1]).all()):
+        if r == 1 or bool((srt[:, 1:] != srt[:, :-1]).all()):
             masks = tuple(_mask_from_indices(row, n) for row in matched)
             return TestDesign(n=n, row_masks=masks)
     raise DesignGenerationError(

@@ -45,7 +45,7 @@ class DefectiveSet:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"universe size must be nonnegative, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n) or self.mask < 0:
+        if not 0 <= self.mask < (1 << self.n):
             raise ValueError("defective-set mask has bits outside the universe")
 
     @classmethod

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +92,8 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
     ``sets`` is a boolean block, one row per defective set.  The block goes
     through the OR channel as one matrix product.  COMP and DD then decode the
     whole block by matrix products (`comp_block`, `dd_block`).  MAP decodes
-    each distinct outcome row once per tally, however many blocks or threads
-    share it, because the cache lookup, the decode on a miss and the insertion
-    hold one lock.
+    each distinct outcome row once per tally, through one cache shared by
+    every block.
     """
     X = design.matrix.T
 
@@ -110,7 +106,6 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
 
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
-    lock = threading.Lock()
 
     def wrong(sets: np.ndarray) -> np.ndarray:
         if design.T:
@@ -120,14 +115,13 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
         rows = packed_y.view(np.dtype((np.void, packed_y.shape[1]))).ravel()
         keys, inverse = np.unique(rows, return_inverse=True)
         estimates = []
-        with lock:
-            for key in keys.tolist():
-                estimate = cache.get(key)
-                if estimate is None:
-                    sig = int.from_bytes(key, "little")
-                    estimate = decode_mask(design, sig, decoder, prior).to_bytes(nbytes, "little")
-                    cache[key] = estimate
-                estimates.append(estimate)
+        for key in keys.tolist():
+            estimate = cache.get(key)
+            if estimate is None:
+                sig = int.from_bytes(key, "little")
+                estimate = decode_mask(design, sig, decoder, prior).to_bytes(nbytes, "little")
+                cache[key] = estimate
+            estimates.append(estimate)
         table = np.frombuffer(b"".join(estimates), dtype=np.uint8).reshape(len(estimates), nbytes)
         return (table[inverse] != np.packbits(sets, axis=1, bitorder="little")).any(axis=1)
 
@@ -151,10 +145,13 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
     return prior.probability(count_by_size(n, errs))
 
 
-def _chunk_rows(design: TestDesign) -> int:
-    """Rows of one sampled chunk: at most `CHUNK_ELEMENTS` over max(n, T) columns.
+def _sampler(design: TestDesign, p: float):
+    """Return ``sample(rng, size)``, which yields ``size`` sampled defective sets in chunks.
 
-    Raises `BudgetExceededError` when a single row is over the budget.
+    Each chunk is a boolean block of at most `BLOCK_TRIALS` rows and at most
+    `CHUNK_ELEMENTS` values over max(n, T) columns.  Raises
+    `BudgetExceededError` at once, before anything is sampled, when a single
+    row is over the budget.
     """
     width = max(design.n, design.T)
     if width > CHUNK_ELEMENTS:
@@ -162,7 +159,13 @@ def _chunk_rows(design: TestDesign) -> int:
             f"one trial over {design.n} items and {design.T} tests spans {width} values, "
             f"over the chunk budget of {CHUNK_ELEMENTS}"
         )
-    return CHUNK_ELEMENTS // width
+    rows = min(BLOCK_TRIALS, CHUNK_ELEMENTS // width)
+
+    def sample(rng: np.random.Generator, size: int):
+        for start in range(0, size, rows):
+            yield rng.random((min(rows, size - start), design.n)) < p
+
+    return sample
 
 
 def monte_carlo_error(
@@ -177,11 +180,11 @@ def monte_carlo_error(
 
     Trials are pre-partitioned into fixed blocks of `BLOCK_TRIALS`; block b
     belongs to worker b mod workers, and worker w draws from its own
-    substream seeded by (master_seed, w).  The result is therefore a
-    deterministic function of (inputs, master_seed, workers), independent of
-    scheduling.  Only workers that own a block run, on at most as many
-    threads as there are CPUs.  Each block is sampled and decoded in chunks of
-    at most `CHUNK_ELEMENTS` values.
+    substream seeded by (master_seed, w).  ``workers`` is thus the number of
+    random substreams the blocks are dealt over; the workers that own a block
+    run one after another on the calling thread.  The result is a
+    deterministic function of (inputs, master_seed, workers).  Each block is
+    sampled and decoded in chunks (see `_sampler`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -189,28 +192,16 @@ def monte_carlo_error(
         raise ValueError("workers must be positive")
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
-    n = design.n
-    rows = _chunk_rows(design)
+    sample = _sampler(design, prior.p)
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     wrong = _error_tally(design, prior, decoder)
-
-    def run_worker(w: int) -> int:
+    total = 0
+    for w in range(min(workers, nblocks)):
         rng = np.random.default_rng([master_seed, w])
-        errors = 0
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            for start in range(0, size, rows):
-                sets = rng.random((min(rows, size - start), n)) < prior.p
-                errors += int(np.count_nonzero(wrong(sets)))
-        return errors
-
-    active = min(workers, nblocks)
-    threads = min(active, os.cpu_count() or 1)
-    if threads == 1:
-        total = sum(map(run_worker, range(active)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(run_worker, range(active)))
+            for sets in sample(rng, size):
+                total += int(np.count_nonzero(wrong(sets)))
     low, high = wilson_interval(total, trials)
     return SimResult(
         trials=trials,
@@ -238,14 +229,12 @@ def disguise_frequency(
         raise ValueError(f"item index {i} outside [0, {design.n})")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rows = min(8192, _chunk_rows(design))
+    sample = _sampler(design, prior.p)
     own_tests = design.matrix[design.matrix[:, i] == 1]
     own_tests[:, i] = 0
-    rng = np.random.default_rng(seed)
     hits = 0
-    for done in range(0, trials, rows):
-        sample = rng.random((min(rows, trials - done), design.n)) < prior.p
-        hits += int(np.count_nonzero(((sample @ own_tests.T) > 0).all(axis=1)))
+    for sets in sample(np.random.default_rng(seed), trials):
+        hits += int(np.count_nonzero(((sets @ own_tests.T) > 0).all(axis=1)))
     low, high = wilson_interval(hits, trials)
     return SimResult(
         trials=trials,

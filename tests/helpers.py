@@ -88,30 +88,38 @@ def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
     return float(sum(c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(errors_by_size) if c))
 
 
-def monte_carlo_errors_reference(
-    design: TestDesign, p: float, decoder, trials: int, seed: int, workers: int
-) -> int:
-    """Monte Carlo error count, decoding one sampled set at a time.
+def monte_carlo_sets_reference(
+    design: TestDesign, p: float, trials: int, seed: int, workers: int
+) -> list[int]:
+    """Defective sets a Monte Carlo run samples, as bitmasks, one row at a time.
 
     Draws exactly what the library draws: trials split into blocks of
     BLOCK_TRIALS, block b sampled by worker b mod workers from the substream
     seeded by (seed, w).  The workers run one after another.
     """
-    prior = Prior(p)
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    decoded: dict[int, int] = {}
-    errors = 0
+    sets = []
     for w in range(workers):
         rng = np.random.default_rng([seed, w])
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            for row in rng.random((size, design.n)) < p:
-                k = mask_of_row(row)
-                sig = outcome_signature(design, k)
-                if sig not in decoded:
-                    decoded[sig] = decode_mask(design, sig, decoder, prior)
-                if decoded[sig] != k:
-                    errors += 1
+            sets.extend(mask_of_row(row) for row in rng.random((size, design.n)) < p)
+    return sets
+
+
+def monte_carlo_errors_reference(
+    design: TestDesign, p: float, decoder, trials: int, seed: int, workers: int
+) -> int:
+    """Monte Carlo error count, decoding one sampled set at a time."""
+    prior = Prior(p)
+    decoded: dict[int, int] = {}
+    errors = 0
+    for k in monte_carlo_sets_reference(design, p, trials, seed, workers):
+        sig = outcome_signature(design, k)
+        if sig not in decoded:
+            decoded[sig] = decode_mask(design, sig, decoder, prior)
+        if decoded[sig] != k:
+            errors += 1
     return errors
 
 
@@ -119,7 +127,9 @@ def disguise_hits_reference(design: TestDesign, p: float, i: int, trials: int, s
     """Disguise hits of `disguise_frequency`, by a loop over the tests containing i.
 
     Draws exactly what the library draws, one stream from ``seed`` filled row
-    by row, in blocks of 8192 trials; a test holding only i is never disguised.
+    by row; its blocks of 8192 trials differ from the library's chunks, which
+    a row-by-row fill makes irrelevant.  A test holding only i is never
+    disguised.
     """
     co_tests = [
         np.array([j for j in design.items_in_test(t) if j != i], dtype=np.intp)

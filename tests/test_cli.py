@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import threading
 
 import pytest
 
@@ -155,6 +156,24 @@ class TestSimulateCommand:
              "--trials", "5000", "--seed", "7", "--workers", "4", "--json"])
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+    def test_workers_count_substreams_and_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("simulate started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        f = tmp_path / "d.txt"
+        f.write_text("2 3\n110\n011\n")
+        args = ["simulate", "--design", str(f), "--decoder", "dd", "-p", "0.3",
+                "--trials", str(3 * sim.BLOCK_TRIALS), "--seed", "7", "--workers"]
+        assert run(args + ["3"]) == 0  # one substream per block
+        per_block = capsys.readouterr().out
+        assert run(args + ["1000000000000"]) == 0
+        assert capsys.readouterr().out == per_block
+        assert run(args + ["0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: workers must be positive")
 
     def test_trial_over_chunk_budget_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 1000)

@@ -2,8 +2,7 @@
 
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from pooltest import (
     BudgetExceededError,
     DecoderId,
+    DefectiveSet,
     Prior,
     SimResult,
     TestDesign,
@@ -27,6 +27,7 @@ from pooltest import (
     gen_individual,
     monte_carlo_error,
     new_design,
+    outcomes,
     reduce_design,
     to_dict,
     verify_theorem,
@@ -38,35 +39,6 @@ from pooltest.disguise import CO_ITEM_BUDGET
 import helpers
 
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
-
-
-@pytest.fixture
-def serial_pools(monkeypatch):
-    """Swap the simulator's thread pool for one that runs its tasks in order.
-
-    Returns the list of pools created, each with its ``max_workers`` and the
-    worker indices it was given.
-    """
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.submitted = []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            self.submitted = list(items)
-            return map(fn, self.submitted)
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
-    return pools
 
 
 class TestWilson:
@@ -233,41 +205,37 @@ class TestMonteCarlo:
                 disguise_frequency(d, Prior(0.3), 0, 10, 0)
         monte_carlo_error(TestDesign(n=6, row_masks=()), Prior(0.3), DecoderId.COMP, 10, 0)
 
-    def test_pool_bounded_by_blocks_and_cpus(self, serial_pools, monkeypatch):
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    def test_surplus_workers_change_nothing_and_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("monte_carlo_error started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         d = new_design([{0, 1}, {1, 2}], 3)
-        trials = 5 * sim.BLOCK_TRIALS - 7
-        many = monte_carlo_error(d, Prior(0.3), DecoderId.DD, trials, 4, workers=10_000)
-        assert [(pool.max_workers, pool.submitted) for pool in serial_pools] == [
-            (3, [0, 1, 2, 3, 4])
-        ]
-        assert many == monte_carlo_error(d, Prior(0.3), DecoderId.DD, trials, 4, workers=5)
+        trials = 5 * sim.BLOCK_TRIALS - 7  # five blocks
+        for decoder in DecoderId:
+            runs = {
+                w: monte_carlo_error(d, Prior(0.3), decoder, trials, 4, workers=w)
+                for w in (1, 2, 5, 10_000)
+            }
+            assert runs[10_000] == runs[5]
+            assert runs[1] != runs[2]  # the substreams differ
 
-    def test_each_outcome_decoded_once_across_threads(self, serial_pools, monkeypatch):
+    def test_each_outcome_decoded_once_across_blocks(self, monkeypatch):
         d = gen_doubly_regular(30, 2, 3, seed=5)
+        trials = 4 * sim.BLOCK_TRIALS
+        sets = helpers.monte_carlo_sets_reference(d, 0.1, trials, 3, 2)
+        distinct = {outcomes(d, DefectiveSet(n=d.n, mask=k)).signature for k in sets}
         original = sim.decode_mask
-        calls = []
+        decoded = []
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
-
-        def decode_calls() -> int:
-            calls.clear()
-            monte_carlo_error(d, Prior(0.1), DecoderId.MAP, 4 * sim.BLOCK_TRIALS, 3, workers=2)
-            return len(calls)
+        def counting(design, sig, *args):
+            decoded.append(sig)
+            return original(design, sig, *args)
 
         monkeypatch.setattr(sim, "decode_mask", counting)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-        expected = decode_calls()  # one worker after the other: no race possible
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", ThreadPoolExecutor)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            counts = [decode_calls() for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [expected] * 3
+        monte_carlo_error(d, Prior(0.1), DecoderId.MAP, trials, 3, workers=2)
+        assert sorted(decoded) == sorted(distinct)
+        assert len(distinct) < trials
 
     def test_validation(self):
         d = new_design([{0}], 1)
