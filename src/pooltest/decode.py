@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
 import numpy as np
 
-from .design import TestDesign, _bit_positions, _reindex_masks
+from .design import TestDesign
 from .errors import BudgetExceededError, InconsistentOutcomeError
 from .model import DefectiveSet, OutcomeVector, Prior
 
@@ -78,18 +77,43 @@ def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     return survivors & (sole.astype(np.float32) @ X > 0)
 
 
-def _masks_of_weight(width: int, weight: int) -> Iterator[int]:
-    # Gosper's hack: same-popcount masks in increasing numeric order.
-    if weight == 0:
-        yield 0
-        return
-    v = (1 << weight) - 1
-    limit = 1 << width
-    while v < limit:
-        yield v
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+def _check_map_budget(n: int) -> None:
+    if n > MAP_ITEM_BUDGET:
+        raise BudgetExceededError(
+            f"MAP search over {n} items exceeds the budget of {MAP_ITEM_BUDGET}"
+        )
+
+
+def _packing_bound(tests: list[int]) -> int:
+    """Size of a greedy packing of pairwise disjoint tests: a hitting set needs one item for each."""
+    packed = used = 0
+    for t in tests:
+        if not t & used:
+            used |= t
+            packed += 1
+    return packed
+
+
+def _hitting_set(tests: list[int], budget: int) -> int | None:
+    """A mask of at most ``budget`` items that meets every mask in ``tests``, or None.
+
+    Branch and bound: prune when the packing bound exceeds the budget, else
+    branch on the test with the fewest items, trying its items lowest first
+    and excluding each tried item from the later branches.
+    """
+    if not tests:
+        return 0
+    if 0 in tests or _packing_bound(tests) > budget:
+        return None
+    branch = min(tests, key=int.bit_count)
+    while branch:
+        low = branch & -branch
+        found = _hitting_set([t for t in tests if not t & low], budget - 1)
+        if found is not None:
+            return found | low
+        branch ^= low
+        tests = [t & ~low for t in tests]
+    return None
 
 
 def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
@@ -97,17 +121,17 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
 
     Consistent sets live inside the COMP survivors and must cover every
     positive test.  For p > 1/2 the survivor set itself is the unique maximal
-    answer.  Otherwise candidates are enumerated in increasing size (prior
-    weight is nonincreasing in size for p <= 1/2) and, within a size, in
-    increasing bitmask order, which realises the tie-break "fewest defectives,
-    then smallest bit pattern"; items forced by a positive test with a single
-    survivor are fixed up front to shrink the search.
+    answer.  Otherwise prior weight is nonincreasing in size, so MAP is the
+    smallest satisfying set: the items forced by a positive test with a single
+    survivor, plus a minimum hitting set of the positive tests they leave
+    uncovered, ties broken toward the smallest bitmask.  The minimum size k is
+    found by iterative deepening from the packing bound (`_hitting_set`); then
+    the items of a size-k witness are decided from the highest down, dropping
+    each one whenever a size-k hitting set avoids it and every higher dropped
+    item.
     """
     n = design.n
-    if n > MAP_ITEM_BUDGET:
-        raise BudgetExceededError(
-            f"MAP enumeration over {n} items exceeds the budget of {MAP_ITEM_BUDGET}"
-        )
+    _check_map_budget(n)
     positive, negative_union = _split_tests(design, y_sig)
     pd = ((1 << n) - 1) & ~negative_union
     for mask in positive:
@@ -123,19 +147,24 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
         survivors = mask & pd
         if survivors & (survivors - 1) == 0:
             forced |= survivors
-    uncovered = (mask & pd & ~forced for mask in positive if mask & forced == 0)
-    free_items = _bit_positions(pd & ~forced)
-    width = len(free_items)
-    compact_tests = _reindex_masks(uncovered, free_items)
+    tests = sorted((mask & pd for mask in positive if not mask & forced), key=int.bit_count)
 
-    for size in range(width + 1):
-        for candidate in _masks_of_weight(width, size):
-            if all(candidate & sub for sub in compact_tests):
-                estimate = forced
-                for j in _bit_positions(candidate):
-                    estimate |= 1 << free_items[j]
-                return estimate
-    raise InconsistentOutcomeError("no defective set reproduces the outcomes")
+    size = _packing_bound(tests)
+    while (witness := _hitting_set(tests, size)) is None:
+        size += 1
+    estimate = forced
+    while witness:
+        top = 1 << (witness.bit_length() - 1)
+        below = [t & (top - 1) for t in tests]
+        other = _hitting_set(below, size)
+        if other is None:  # every smallest completion holds this item
+            estimate |= top
+            size -= 1
+            witness ^= top
+            tests = [t for t in tests if not t & top]
+        else:
+            tests, witness = below, other
+    return estimate
 
 
 def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior | None = None) -> int:

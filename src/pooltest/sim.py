@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, disguise
-from .decode import MAP_ITEM_BUDGET, DecoderId, comp_block, dd_block, decode_mask
+from .decode import (
+    MAP_ITEM_BUDGET, DecoderId, _check_map_budget, comp_block, dd_block, decode_mask,
+)
 from .design import TestDesign
 from .errors import BudgetExceededError
 from .model import BLOCK_TRIALS, Prior, count_by_size
@@ -93,7 +95,12 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
     through the OR channel as one matrix product.  COMP and DD then decode the
     whole block by matrix products (`comp_block`, `dd_block`).  MAP decodes
     each distinct outcome row once per tally, through one cache shared by
-    every block.
+    every block.  The outcomes new to the cache are first decoded as one
+    block by DD (COMP for p > 1/2); a row whose estimate reproduces its
+    outcome keeps it, since `map_mask` returns exactly that set there: DD's
+    set is its forced set and leaves no positive test to cover, and for
+    p > 1/2 it returns the COMP survivors.  Only the other rows go through
+    `decode_mask`.
     """
     X = design.matrix.T
 
@@ -104,6 +111,8 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
         decode_block = comp_block if decoder is DecoderId.COMP else dd_block
         return lambda sets: (decode_block(design, or_channel(sets)) != sets).any(axis=1)
 
+    _check_map_budget(design.n)
+    shortcut_block = dd_block if prior.p <= 0.5 else comp_block
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
 
@@ -114,15 +123,22 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
             packed_y = np.zeros((len(sets), 1), dtype=np.uint8)
         rows = packed_y.view(np.dtype((np.void, packed_y.shape[1]))).ravel()
         keys, inverse = np.unique(rows, return_inverse=True)
-        estimates = []
-        for key in keys.tolist():
-            estimate = cache.get(key)
-            if estimate is None:
-                sig = int.from_bytes(key, "little")
-                estimate = decode_mask(design, sig, decoder, prior).to_bytes(nbytes, "little")
-                cache[key] = estimate
-            estimates.append(estimate)
-        table = np.frombuffer(b"".join(estimates), dtype=np.uint8).reshape(len(estimates), nbytes)
+        keys = keys.tolist()
+        new = [key for key in keys if key not in cache]
+        if new:
+            positive = np.unpackbits(
+                np.frombuffer(b"".join(new), dtype=np.uint8).reshape(len(new), -1),
+                axis=1, count=design.T, bitorder="little",
+            ).view(bool)
+            estimates = shortcut_block(design, positive)
+            explained = (or_channel(estimates) == positive).all(axis=1).tolist()
+            for key, ok, row in zip(new, explained, np.packbits(estimates, axis=1, bitorder="little")):
+                if not ok:
+                    sig = int.from_bytes(key, "little")
+                    row = decode_mask(design, sig, decoder, prior).to_bytes(nbytes, "little")
+                cache[key] = bytes(row)
+        table = np.frombuffer(b"".join(cache[key] for key in keys), dtype=np.uint8)
+        table = table.reshape(len(keys), nbytes)
         return (table[inverse] != np.packbits(sets, axis=1, bitorder="little")).any(axis=1)
 
     return wrong

@@ -73,6 +73,32 @@ def grouped_map_error(design: TestDesign, p: float) -> float:
     return 1.0 - sum(best.values())
 
 
+def map_reference(design: TestDesign, sig: int, p: float) -> int | None:
+    """MAP estimate of one outcome by a walk over subsets of the COMP survivors.
+
+    The survivors are the items in no negative test, so a subset of them
+    reproduces the outcome iff it meets every positive test.  For p > 1/2 the
+    answer is the survivors themselves; otherwise the smallest consistent
+    subset, ties broken toward the smallest bitmask, taken size by size with
+    ``itertools.combinations``.  None when no set reproduces the outcome.
+    """
+    positive, negative = [], 0
+    for t, mask in enumerate(design.row_masks):
+        if sig >> t & 1:
+            positive.append(mask)
+        else:
+            negative |= mask
+    bits = [1 << i for i in range(design.n) if not negative >> i & 1]
+    sizes = [len(bits)] if p > 0.5 else range(len(bits) + 1)
+    for size in sizes:
+        consistent = [
+            k for k in map(sum, itertools.combinations(bits, size)) if all(k & t for t in positive)
+        ]
+        if consistent:
+            return min(consistent)
+    return None
+
+
 def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
     """Exact average error by a per-set loop: OR channel, decode, tally by set size.
 

@@ -199,3 +199,42 @@ class TestMapOptimality:
                 assert map_error == pytest.approx(
                     helpers.brute_force_optimal_error(d, p), abs=1e-12
                 )
+
+
+class TestMapSearch:
+    """`map_mask` against the subset walk `helpers.map_reference`, outcome by outcome."""
+
+    # The reference walks up to 2^m subsets of m survivors.
+    REFERENCE_SURVIVORS = 20
+
+    @staticmethod
+    def _check(design, signatures, p):
+        for sig in signatures:
+            expected = helpers.map_reference(design, sig, p)
+            if expected is None:
+                with pytest.raises(InconsistentOutcomeError):
+                    map_mask(design, sig, Prior(p))
+            else:
+                assert map_mask(design, sig, Prior(p)) == expected
+
+    def test_every_outcome_of_small_messy_designs(self):
+        rng = np.random.default_rng(61)
+        for case in range(200):
+            n, T = int(rng.integers(1, 10)), int(rng.integers(0, 7))
+            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            if case % 2:
+                d = TestDesign(n=n + 1, row_masks=d.row_masks)  # item n is in no test
+            for p in (0.2, 0.5, 0.8):
+                self._check(d, range(1 << d.T), p)
+
+    def test_sampled_outcomes_of_doubly_regular_designs(self):
+        rng = np.random.default_rng(62)
+        for n, l, r in ((30, 2, 3), (24, 3, 4)):
+            d = gen_doubly_regular(n, l, r, seed=1)
+            for p in (0.05, 0.1, 0.3, 0.5, 0.7):
+                signatures = []
+                while len(signatures) < 20:
+                    sig = helpers.outcome_signature(d, helpers.mask_of_row(rng.random(n) < p))
+                    if p > 0.5 or comp_mask(d, sig).bit_count() <= self.REFERENCE_SURVIVORS:
+                        signatures.append(sig)
+                self._check(d, signatures, p)

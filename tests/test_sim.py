@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
+from pooltest.decode import dd_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 
 import helpers
@@ -221,10 +223,11 @@ class TestMonteCarlo:
             assert runs[1] != runs[2]  # the substreams differ
 
     def test_each_outcome_decoded_once_across_blocks(self, monkeypatch):
+        # No outcome is decoded twice, and only the distinct outcomes that DD's
+        # estimate leaves unexplained reach decode_mask; for p > 1/2 COMP's
+        # estimate explains every outcome, so decode_mask is never called.
         d = gen_doubly_regular(30, 2, 3, seed=5)
         trials = 4 * sim.BLOCK_TRIALS
-        sets = helpers.monte_carlo_sets_reference(d, 0.1, trials, 3, 2)
-        distinct = {outcomes(d, DefectiveSet(n=d.n, mask=k)).signature for k in sets}
         original = sim.decode_mask
         decoded = []
 
@@ -232,10 +235,34 @@ class TestMonteCarlo:
             decoded.append(sig)
             return original(design, sig, *args)
 
+        def signature(k):
+            return outcomes(d, DefectiveSet(n=d.n, mask=k)).signature
+
         monkeypatch.setattr(sim, "decode_mask", counting)
-        monte_carlo_error(d, Prior(0.1), DecoderId.MAP, trials, 3, workers=2)
-        assert sorted(decoded) == sorted(distinct)
-        assert len(distinct) < trials
+        for p in (0.1, 0.7):
+            sets = helpers.monte_carlo_sets_reference(d, p, trials, 3, 2)
+            distinct = {signature(k) for k in sets}
+            unexplained = [s for s in distinct if p <= 0.5 and signature(dd_mask(d, s)) != s]
+            decoded.clear()
+            monte_carlo_error(d, Prior(p), DecoderId.MAP, trials, 3, workers=2)
+            assert sorted(decoded) == sorted(unexplained)
+            assert len(distinct) < trials
+            assert bool(decoded) == (p <= 0.5)
+
+    def test_map_search_finishes_on_a_dense_outcome_mix(self):
+        # At p = 0.3 a subset enumeration spent seconds on single outcomes of
+        # this design (about 40 s for these 200 trials).
+        d = gen_doubly_regular(30, 2, 3, seed=4)
+        start = time.perf_counter()
+        monte_carlo_error(d, Prior(0.3), DecoderId.MAP, 200, 2)
+        assert time.perf_counter() - start < 10.0
+
+    def test_map_budget_holds_when_no_outcome_needs_a_search(self):
+        # Every outcome of an identity design is explained by DD and COMP.
+        d = gen_individual(31)
+        for p in (0.1, 0.7):
+            with pytest.raises(BudgetExceededError):
+                monte_carlo_error(d, Prior(p), DecoderId.MAP, 100, 0)
 
     def test_validation(self):
         d = new_design([{0}], 1)
