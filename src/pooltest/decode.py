@@ -24,7 +24,8 @@ def _check_length(design: TestDesign, y: OutcomeVector) -> None:
         raise ValueError(f"outcome vector has {len(y)} bits but the design has {design.T} tests")
 
 
-def _split_tests(design: TestDesign, y_sig: int) -> tuple[list[int], int]:
+def _survivors(design: TestDesign, y_sig: int) -> tuple[int, list[int]]:
+    """The COMP survivors (items in no negative test) and each positive test's survivors."""
     positive = []
     negative_union = 0
     for t, mask in enumerate(design.row_masks):
@@ -32,25 +33,27 @@ def _split_tests(design: TestDesign, y_sig: int) -> tuple[list[int], int]:
             positive.append(mask)
         else:
             negative_union |= mask
-    return positive, negative_union
+    pd = ((1 << design.n) - 1) & ~negative_union
+    return pd, [mask & pd for mask in positive]
+
+
+def _sole_survivors(tests: list[int]) -> int:
+    """The items that are the sole survivor of some positive test; they must be defective."""
+    forced = 0
+    for survivors in tests:
+        if survivors & (survivors - 1) == 0:
+            forced |= survivors
+    return forced
 
 
 def comp_mask(design: TestDesign, y_sig: int) -> int:
     """COMP: clear every item seen in a negative test, declare the rest defective."""
-    _, negative_union = _split_tests(design, y_sig)
-    return ((1 << design.n) - 1) & ~negative_union
+    return _survivors(design, y_sig)[0]
 
 
 def dd_mask(design: TestDesign, y_sig: int) -> int:
     """DD: declare the items that are the sole COMP survivor in some positive test."""
-    pd = comp_mask(design, y_sig)
-    estimate = 0
-    for t, mask in enumerate(design.row_masks):
-        if y_sig >> t & 1:
-            survivors = mask & pd
-            if survivors and survivors & (survivors - 1) == 0:
-                estimate |= survivors
-    return estimate
+    return _sole_survivors(_survivors(design, y_sig)[1])
 
 
 def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
@@ -130,24 +133,17 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
     each one whenever a size-k hitting set avoids it and every higher dropped
     item.
     """
-    n = design.n
-    _check_map_budget(n)
-    positive, negative_union = _split_tests(design, y_sig)
-    pd = ((1 << n) - 1) & ~negative_union
-    for mask in positive:
-        if mask & pd == 0:
-            raise InconsistentOutcomeError(
-                "a positive test contains only items cleared by negative tests"
-            )
+    _check_map_budget(design.n)
+    pd, tests = _survivors(design, y_sig)
+    if 0 in tests:
+        raise InconsistentOutcomeError(
+            "a positive test contains only items cleared by negative tests"
+        )
     if prior.p > 0.5:
         return pd
 
-    forced = 0
-    for mask in positive:
-        survivors = mask & pd
-        if survivors & (survivors - 1) == 0:
-            forced |= survivors
-    tests = sorted((mask & pd for mask in positive if not mask & forced), key=int.bit_count)
+    forced = _sole_survivors(tests)
+    tests = sorted((t for t in tests if not t & forced), key=int.bit_count)
 
     size = _packing_bound(tests)
     while (witness := _hitting_set(tests, size)) is None:

@@ -243,8 +243,8 @@ def parse_design(text: str) -> TestDesign:
         T, n = int(head[0]), int(head[1])
     except ValueError as exc:
         raise DesignFormatError(f"header must be two integers `T n`, got {lines[0]!r}") from exc
-    if T < 0 or n < 1:
-        raise DesignFormatError(f"need T >= 0 and n >= 1, got T={T} n={n}")
+    if T < 0 or n < 0 or (T and not n):
+        raise DesignFormatError(f"need T, n >= 0 and n >= 1 when T >= 1, got T={T} n={n}")
     body = lines[1:]
     if len(body) != T:
         raise DesignFormatError(f"expected {T} test rows, found {len(body)}")

@@ -100,6 +100,20 @@ class TestGenAndReduce:
         assert reduced.T == 1 and reduced.n == 2
         assert "# resolved items" in out.read_text()
 
+    def test_reduced_identity_feeds_other_commands(self, tmp_path, capsys):
+        # reducing the identity design resolves every item: the header is `0 0`
+        src = tmp_path / "id.txt"
+        save_design(gen_individual(3), str(src))
+        out = tmp_path / "red.txt"
+        assert run(["reduce", "--design", str(src), "-o", str(out)]) == 0
+        assert out.read_text().endswith("\n0 0\n")
+        assert run(["verify", "--design", str(out), "-p", "0.3"]) == 0
+        assert "not applicable" in capsys.readouterr().out
+        for decoder in ("comp", "dd", "map"):
+            assert run(["simulate", "--design", str(out), "--decoder", decoder, "-p", "0.3",
+                        "--trials", "5000", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["errors"] == 0
+
     def test_stdin_design(self, capsys, monkeypatch):
         import io
 
@@ -218,6 +232,21 @@ class TestVerifyCommand:
         f = tmp_path / "d.txt"
         f.write_text("1 2\n11\n")
         assert run(["verify", "--design", str(f), "-p", "0.3"]) == 2
+
+    def test_bad_run_arguments_exit_one_on_every_path(self, tmp_path, capsys):
+        # a 3-item design takes the exact-map path, a 31-item one Monte Carlo
+        for n in (3, 31):
+            f = tmp_path / f"id{n}.txt"
+            save_design(gen_individual(n), str(f))
+            args = ["verify", "--design", str(f), "-p", "0.3"]
+            for bad in (["--trials", "-1", "--seed", "-3", "--workers", "0"],
+                        ["--workers", "0"], ["--seed", "-3"]):
+                assert run(args + bad) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: ")
+            assert run(args + ["--trials", "0"]) == 1
+            assert capsys.readouterr().err.startswith("error: trials must be positive")
 
     def test_json_output(self, tmp_path, capsys):
         f = tmp_path / "d.txt"

@@ -258,6 +258,15 @@ class TestTextFormat:
         with pytest.raises(DesignFormatError):
             parse_design("1 0\n\n")
 
+    def test_empty_design_round_trip(self):
+        # reduce_design leaves n = 0 when it resolves every item
+        empty, _ = reduce_design(gen_individual(3))
+        assert format_design(empty) == "0 0\n"
+        assert parse_design("0 0\n") == empty == TestDesign(n=0, row_masks=())
+        for text in ("1 0\n", "-1 2\n", "0 -1\n"):
+            with pytest.raises(DesignFormatError):
+                parse_design(text)
+
     def test_no_trailing_newline(self):
         assert parse_design("1 2\n10") == new_design([{0}], 2)
 

@@ -35,7 +35,7 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
-from pooltest.decode import dd_mask
+from pooltest.decode import dd_mask, decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 
 import helpers
@@ -123,6 +123,35 @@ class TestExactAverageError:
         bigger = TestDesign(n=21, row_masks=(1,))
         with pytest.raises(BudgetExceededError):
             exact_average_error(bigger, Prior(0.5), DecoderId.COMP)
+
+
+class TestMapBlock:
+    def test_rows_match_one_outcome_decoder(self):
+        rng = np.random.default_rng(48)
+        designs = [
+            TestDesign(n=3, row_masks=()),
+            new_design([{0, 1}, {0, 1}, {1, 2}, set()], 4),  # duplicate tests; item 3 in none
+        ]
+        for _ in range(10):
+            n, T = int(rng.integers(1, 11)), int(rng.integers(1, 9))
+            designs.append(helpers.random_messy_design(rng, n, T))
+        for d in designs:
+            for p in (0.1, 0.5, 0.7):
+                sets = rng.random((60, d.n)) < p
+                sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
+                positive = np.array([[sig >> t & 1 for t in range(d.T)] for sig in sigs], dtype=bool)
+                decode = sim._map_block(d, Prior(p))
+                for rows in (slice(0, 40), slice(20, 60)):  # the second call repeats 20 rows
+                    got = decode(positive[rows])
+                    assert got.shape == (len(sigs[rows]), d.n) and got.dtype == bool
+                    for row, sig in zip(got, sigs[rows]):
+                        expected = decode_mask(d, sig, DecoderId.MAP, Prior(p))
+                        assert helpers.mask_of_row(row) == expected
+
+    def test_budget_checked_on_creation(self):
+        for p in (0.1, 0.7):
+            with pytest.raises(BudgetExceededError):
+                sim._map_block(gen_individual(31), Prior(p))
 
 
 class TestMonteCarlo:
@@ -270,6 +299,18 @@ class TestMonteCarlo:
             monte_carlo_error(d, Prior(0.5), DecoderId.MAP, 0, 1)
         with pytest.raises(ValueError):
             monte_carlo_error(d, Prior(0.5), DecoderId.MAP, 10, 1, workers=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            monte_carlo_error(d, Prior(0.5), DecoderId.MAP, 10, -1)
+
+    def test_zero_item_design_never_errs(self):
+        # reduce_design resolves every item of an identity design
+        empty, _ = reduce_design(gen_individual(3))
+        assert empty.n == 0 and empty.T == 0
+        for decoder in DecoderId:
+            for p in (0.3, 0.7):
+                assert exact_average_error(empty, Prior(p), decoder) == 0.0
+                result = monte_carlo_error(empty, Prior(p), decoder, sim.BLOCK_TRIALS + 5, 1, 2)
+                assert result.errors == 0 and result.trials == sim.BLOCK_TRIALS + 5
 
     def test_json_round_trip(self):
         d = new_design([{0, 1}], 2)
@@ -332,6 +373,10 @@ class TestDisguiseFrequency:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             disguise_frequency(new_design([{0}], 1), Prior(0.5), 1, 10, 0)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            disguise_frequency(new_design([{0}], 1), Prior(0.5), 0, 0, 0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            disguise_frequency(new_design([{0}], 1), Prior(0.5), 0, 10, -1)
 
 
 class TestVerifyTheorem:
@@ -382,6 +427,19 @@ class TestVerifyTheorem:
         assert [c.item for c in report.lemma_checks] == [27, 28, 29, 30, 31]
         assert report.lemma_checks[0].exact == pytest.approx(1 - 0.9**25, rel=1e-12)
         assert all(c.passed for c in report.lemma_checks)
+
+    def test_run_arguments_checked_on_every_path(self):
+        # n = 2 takes the exact-map path, which uses none of the run arguments
+        mc_map_design = helpers.random_min2_design(np.random.default_rng(2), 16, 8)
+        for d in (new_design([{0, 1}], 2), mc_map_design):
+            for kwargs, message in (
+                ({"trials": 0}, "trials must be positive"),
+                ({"workers": 0}, "workers must be positive"),
+                ({"seed": -1}, "seed must be nonnegative"),
+                ({"trials": -1, "seed": -3, "workers": 0}, "trials must be positive"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    verify_theorem(d, Prior(0.3), **kwargs)
 
     def test_json_round_trip(self):
         report = verify_theorem(new_design([{0, 1}], 2), Prior(0.3))
