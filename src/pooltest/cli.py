@@ -13,14 +13,13 @@ from . import design as design_mod
 from . import disguise as disguise_mod
 from . import sim as sim_mod
 from .decode import DecoderId, decode
+from .errors import BudgetExceededError
 from .model import OutcomeVector, Prior
 from .serialize import to_dict
 
 _FMT = "{:.12g}"
-_WORKERS_HELP = (
-    "number of random substreams the trial blocks are dealt over (default 1); "
-    "results depend on it; the substreams run in order and start no threads"
-)
+# `figure` computes one floor per step; this caps its time and output.
+FIGURE_STEP_BUDGET = 10_000
 
 
 class _UsageError(Exception):
@@ -50,6 +49,16 @@ def _default_seed() -> int:
         raise ValueError(f"POOLTEST_SEED must be an integer, got {raw!r}") from None
 
 
+def _print_report(report, as_json: bool, width: int = 0) -> None:
+    """Print a report as one JSON object, or one padded line per field that is set."""
+    if as_json:
+        print(json.dumps(to_dict(report)))
+        return
+    for name, value in to_dict(report).items():
+        if value is not None:
+            print(f"{name:<{width}}{_fmt(value)}")
+
+
 def _read_design(path: str) -> design_mod.TestDesign:
     if path == "-":
         return design_mod.parse_design(sys.stdin.read())
@@ -65,83 +74,72 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def build_parser() -> _Parser:
+    # options that several subcommands share, each declared once and attached through `parents`
+    design, prior, decoder, as_json, output, seed, outcome = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    )
+    design.add_argument("--design", required=True, help="design file path, or - for stdin")
+    prior.add_argument("-p", type=float, required=True, help="prevalence")
+    decoder.add_argument("--decoder", choices=[d.value for d in DecoderId], required=True)
+    as_json.add_argument("--json", action="store_true", help="print the report as JSON")
+    output.add_argument("-o", "--output", help="output path (default stdout)")
+    seed.add_argument("--seed", type=int, default=_default_seed())
+    run_group = argparse.ArgumentParser(add_help=False, parents=[seed])
+    run_group.add_argument("--trials", type=int, default=100_000)
+    run_group.add_argument("--workers", type=int, default=1, help=(
+        "number of random substreams the trial blocks are dealt over (default 1); "
+        "results depend on it; the substreams run in order and start no threads"))
+    # a parent only to keep decode's required options in their listed order
+    outcome.add_argument("--outcome", required=True, help="0/1 string, one bit per test")
+
     parser = _Parser(prog="pooltest", description="Nonadaptive group testing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a test design")
+    p_gen = sub.add_parser("gen", help="generate a test design", parents=[seed, output])
     p_gen.add_argument("kind", choices=["individual", "bernoulli", "doubly-regular"])
     p_gen.add_argument("-n", type=int, required=True, help="item count")
     p_gen.add_argument("-T", type=int, help="test count (bernoulli)")
     p_gen.add_argument("--nu", type=float, help="inclusion probability (bernoulli)")
     p_gen.add_argument("-l", type=int, help="tests per item (doubly-regular)")
     p_gen.add_argument("-r", type=int, help="items per test (doubly-regular)")
-    p_gen.add_argument("--seed", type=int, default=_default_seed())
-    p_gen.add_argument("-o", "--output", help="output path (default stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_red = sub.add_parser("reduce", help="strip weight-0 tests and resolve weight-1 tests")
-    p_red.add_argument("--design", required=True, help="design file path, or - for stdin")
-    p_red.add_argument("-o", "--output", help="output path (default stdout)")
-    p_red.set_defaults(func=_cmd_reduce)
+    sub.add_parser("reduce", help="strip weight-0 tests and resolve weight-1 tests",
+                   parents=[design, output]).set_defaults(func=_cmd_reduce)
 
-    p_bound = sub.add_parser("bound", help="error floor and related bounds for a prior")
-    p_bound.add_argument("-p", type=float, required=True)
+    p_bound = sub.add_parser("bound", help="error floor and related bounds for a prior",
+                             parents=[prior, as_json])
     p_bound.add_argument("--delta", type=float)
     p_bound.add_argument("-n", type=int, help="also report the counting bound H(p)*n")
-    p_bound.add_argument("--json", action="store_true")
     p_bound.set_defaults(func=_cmd_bound)
 
-    p_fig = sub.add_parser("figure", help="emit the floor curve over a prevalence grid as CSV")
+    p_fig = sub.add_parser("figure", help="emit the floor curve over a prevalence grid as CSV",
+                           parents=[output])
     p_fig.add_argument("--p-min", type=float, required=True)
     p_fig.add_argument("--p-max", type=float, required=True)
-    p_fig.add_argument("--steps", type=int, required=True)
-    p_fig.add_argument("-o", "--output", help="output path (default stdout)")
+    p_fig.add_argument("--steps", type=int, required=True,
+                       help=f"grid points, at most {FIGURE_STEP_BUDGET}")
     p_fig.set_defaults(func=_cmd_figure)
 
-    p_dis = sub.add_parser("disguise", help="per-item disguise bounds for a design")
-    p_dis.add_argument("--design", required=True)
-    p_dis.add_argument("-p", type=float, required=True)
-    p_dis.add_argument(
-        "--exact-budget",
-        type=int,
-        default=20,
-        help="compute exact probabilities for items with at most this many co-items (0 disables)",
-    )
-    p_dis.add_argument("--json", action="store_true")
+    p_dis = sub.add_parser("disguise", help="per-item disguise bounds for a design",
+                           parents=[design, prior, as_json])
+    p_dis.add_argument("--exact-budget", type=int, default=20, help=(
+        "compute exact probabilities for items with at most this many co-items, "
+        f"capped at {disguise_mod.CO_ITEM_BUDGET} (0 disables)"))
     p_dis.set_defaults(func=_cmd_disguise)
 
-    p_dec = sub.add_parser("decode", help="decode one outcome vector")
-    p_dec.add_argument("--design", required=True)
-    p_dec.add_argument("--outcome", required=True, help="0/1 string, one bit per test")
-    p_dec.add_argument("--decoder", choices=["comp", "dd", "map"], required=True)
+    p_dec = sub.add_parser("decode", help="decode one outcome vector",
+                           parents=[design, outcome, decoder])
     p_dec.add_argument("-p", type=float, help="prior (required for map)")
     p_dec.set_defaults(func=_cmd_decode)
 
-    p_exact = sub.add_parser("exact-error", help="exact average error by enumeration")
-    p_exact.add_argument("--design", required=True)
-    p_exact.add_argument("--decoder", choices=["comp", "dd", "map"], required=True)
-    p_exact.add_argument("-p", type=float, required=True)
-    p_exact.set_defaults(func=_cmd_exact_error)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo average error")
-    p_sim.add_argument("--design", required=True)
-    p_sim.add_argument("--decoder", choices=["comp", "dd", "map"], required=True)
-    p_sim.add_argument("-p", type=float, required=True)
-    p_sim.add_argument("--trials", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
-    p_sim.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p_sim.add_argument("--json", action="store_true")
+    sub.add_parser("exact-error", help="exact average error by enumeration",
+                   parents=[design, decoder, prior]).set_defaults(func=_cmd_exact_error)
+    p_sim = sub.add_parser("simulate", help="Monte Carlo average error",
+                           parents=[design, decoder, prior, run_group, as_json])
     p_sim.set_defaults(func=_cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="check a design against the error floor")
-    p_ver.add_argument("--design", required=True)
-    p_ver.add_argument("-p", type=float, required=True)
-    p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=_default_seed())
-    p_ver.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=_cmd_verify)
-
+    sub.add_parser("verify", help="check a design against the error floor",
+                   parents=[design, prior, run_group, as_json]).set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -185,20 +183,15 @@ def _cmd_bound(args) -> int:
         )
     if args.n is not None:
         report = replace(report, counting_bound=bounds_mod.counting_bound(prior, args.n))
-    if args.json:
-        print(json.dumps(to_dict(report)))
-        return 0
-    for name in ("p", "q", "l_star", "w_star", "epsilon", "delta", "epsilon_delta", "counting_bound"):
-        value = getattr(report, name)
-        if value is None:
-            continue
-        print(f"{name:<15}{_fmt(value)}")
+    _print_report(report, args.json, 15)
     return 0
 
 
 def _cmd_figure(args) -> int:
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    if args.steps > FIGURE_STEP_BUDGET:
+        raise BudgetExceededError(f"{args.steps} steps exceed the budget of {FIGURE_STEP_BUDGET}")
     if not 0.0 < args.p_min <= args.p_max < 1.0:
         raise ValueError("need 0 < p-min <= p-max < 1")
     rows = ["p,L_star,w_star,epsilon"]
@@ -221,26 +214,16 @@ def _cmd_disguise(args) -> int:
     budget = None if args.exact_budget <= 0 else args.exact_budget
     report = disguise_mod.mean_log_bound(d, prior, exact_budget=budget)
     if args.json:
-        print(json.dumps(to_dict(report)))
+        _print_report(report, True)
         return 0
     print(f"{'item':>6} {'L_i':>18} {'fkg_bound':>16} {'exact':>16}")
     for rec in report.items:
         exact = _fmt(rec.exact_prob) if rec.exact_prob is not None else "-"
         print(f"{rec.item:>6} {_fmt(rec.log_bound):>18} {_fmt(rec.fkg_bound):>16} {exact:>16}")
     print("L_bar,L_bar_by_test,scaled_min_term,min_weight_term,L_star,chain_applicable")
-    print(
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.mean_log_bound,
-                report.mean_log_bound_by_test,
-                report.scaled_min_term,
-                report.min_weight_term,
-                report.l_star,
-                report.chain_applicable,
-            )
-        )
-    )
+    chain = (report.mean_log_bound, report.mean_log_bound_by_test, report.scaled_min_term,
+             report.min_weight_term, report.l_star, report.chain_applicable)
+    print(",".join(map(_fmt, chain)))
     return 0
 
 
@@ -266,12 +249,7 @@ def _cmd_simulate(args) -> int:
     result = sim_mod.monte_carlo_error(
         d, Prior(args.p), DecoderId(args.decoder), args.trials, args.seed, args.workers
     )
-    if args.json:
-        print(json.dumps(to_dict(result)))
-        return 0
-    for name in ("trials", "errors", "estimate", "ci_low", "ci_high", "seed"):
-        print(f"{name:<10}{_fmt(getattr(result, name))}")
-    print(f"{'decoder':<10}{result.decoder.value}")
+    _print_report(result, args.json, 10)
     return 0
 
 
@@ -281,7 +259,7 @@ def _cmd_verify(args) -> int:
         d, Prior(args.p), trials=args.trials, seed=args.seed, workers=args.workers
     )
     if args.json:
-        print(json.dumps(to_dict(report)))
+        _print_report(report, True)
     else:
         print(f"design          {report.design_summary}")
         print(f"p               {_fmt(report.p)}")

@@ -226,7 +226,8 @@ def format_design(design: TestDesign) -> str:
     """Render the text format: a `T n` header then one 0/1 row per test."""
     lines = [f"{design.T} {design.n}"]
     for mask in design.row_masks:
-        lines.append("".join("1" if mask >> i & 1 else "0" for i in range(design.n)))
+        # bit i is character i, so the row is the mask's binary form reversed
+        lines.append(format(mask, f"0{design.n}b")[::-1])
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +253,7 @@ def parse_design(text: str) -> TestDesign:
     for t, row in enumerate(body):
         if len(row) != n or set(row) - {"0", "1"}:
             raise DesignFormatError(f"test row {t} must be exactly {n} characters of 0/1")
-        masks.append(sum(1 << i for i, c in enumerate(row) if c == "1"))
+        masks.append(int(row[::-1], 2))
     return TestDesign(n=n, row_masks=tuple(masks))
 
 

@@ -1,12 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import sys
 import threading
 
 import pytest
 
-from pooltest import Prior, epsilon_bound, gen_individual, parse_design, save_design, sim
-from pooltest.cli import run
+from pooltest import (
+    DecoderId,
+    Prior,
+    epsilon_bound,
+    gen_individual,
+    new_design,
+    parse_design,
+    save_design,
+    sim,
+)
+from pooltest.cli import build_parser, main, run
+
+SUBCOMMANDS = ("gen", "reduce", "bound", "figure", "disguise", "decode", "exact-error",
+               "simulate", "verify")
 
 
 def out_lines(capsys):
@@ -32,6 +46,24 @@ class TestBoundCommand:
         assert run(["bound", "-p", "1.5"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_text_layout(self, capsys):
+        assert run(["bound", "-p", "0.3", "--delta", "0.25", "-n", "100"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "p              0.3",
+            "q              0.7",
+            "l_star         -2.40794560865",
+            "w_star         2",
+            "epsilon        0.027",
+            "delta          0.25",
+            "epsilon_delta  0.0492950301755",
+            "counting_bound 88.1290899231",
+        ]
+
+    def test_unset_fields_not_printed(self, capsys):
+        assert run(["bound", "-p", "0.5"]) == 0
+        names = [line.split()[0] for line in out_lines(capsys)]
+        assert names == ["p", "q", "l_star", "w_star", "epsilon"]
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -47,6 +79,25 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "pooltest" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: pooltest {command}")
+
+    def test_decoder_choices_follow_decoder_id(self):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == set(SUBCOMMANDS)
+        for name in ("decode", "exact-error", "simulate"):
+            decoder = commands.choices[name]._option_string_actions["--decoder"]
+            assert decoder.choices == [d.value for d in DecoderId]
+
+    @pytest.mark.parametrize("p, code", [("0.5", 0), ("2", 1)])
+    def test_main_exits_with_run_code(self, p, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["pooltest", "bound", "-p", p])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
 
     def test_bad_seed_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("POOLTEST_SEED", "abc")
@@ -74,6 +125,19 @@ class TestFigureCommand:
 
     def test_bad_grid(self, capsys):
         assert run(["figure", "--p-min", "0.9", "--p-max", "0.1", "--steps", "3"]) == 1
+
+    def test_steps_over_budget_exit_one_before_any_step(self, capsys, monkeypatch):
+        import pooltest.cli as cli_mod
+
+        def refuse(prior):
+            raise AssertionError("figure computed a step over its budget")
+
+        monkeypatch.setattr(cli_mod.bounds_mod, "epsilon_bound", refuse)
+        steps = str(cli_mod.FIGURE_STEP_BUDGET + 1)
+        assert run(["figure", "--p-min", "0.1", "--p-max", "0.9", "--steps", steps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "budget" in captured.err
 
 
 class TestGenAndReduce:
@@ -134,6 +198,13 @@ class TestDecodeCommand:
         f.write_text("1 2\n11\n")
         assert run(["decode", "--design", str(f), "--outcome", "1", "--decoder", "map"]) == 1
 
+    def test_missing_options_listed_in_order(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("1 2\n11\n")
+        assert run(["decode", "--design", str(f)]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "error: the following arguments are required: --outcome, --decoder")
+
     def test_outcome_length_checked(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
         f.write_text("1 2\n11\n")
@@ -159,6 +230,21 @@ class TestSimulateCommand:
         assert data["seed"] == 42
         assert data["errors"] == 0
         assert data["ci_low"] == 0.0
+
+    def test_text_layout(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("2 3\n110\n011\n")
+        assert run(["simulate", "--design", str(f), "--decoder", "dd", "-p", "0.3",
+                    "--trials", "1000", "--seed", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "trials    1000",
+            "errors    375",
+            "estimate  0.375",
+            "ci_low    0.345526294233",
+            "ci_high   0.405430395388",
+            "seed      2",
+            "decoder   dd",
+        ]
 
     def test_workers_flag(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
@@ -278,3 +364,16 @@ class TestDisguiseCommand:
 
     def test_missing_file(self, capsys):
         assert run(["disguise", "--design", "/nonexistent/x.txt", "-p", "0.5"]) == 1
+
+    def test_exact_budget_capped_at_co_item_budget(self, tmp_path, capsys):
+        # items 0-26 share one 27-item test, so each has 26 co-items: over the cap of 25
+        f = tmp_path / "wide.txt"
+        save_design(new_design([set(range(27)), {27, 28}, {28, 29}], 30), str(f))
+        tables = {}
+        for budget in ("0", "25", "30"):
+            assert run(["disguise", "--design", str(f), "-p", "0.3", "--exact-budget", budget]) == 0
+            tables[budget] = out_lines(capsys)
+        assert tables["30"] == tables["25"]
+        exact = {int(line.split()[0]): line.split()[3] for line in tables["25"][1:31]}
+        assert [i for i, value in exact.items() if value == "-"] == list(range(27))
+        assert all(line.split()[3] == "-" for line in tables["0"][1:31])

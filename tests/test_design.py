@@ -267,6 +267,18 @@ class TestTextFormat:
             with pytest.raises(DesignFormatError):
                 parse_design(text)
 
+    def test_rows_match_per_bit_reference(self):
+        rng = np.random.default_rng(11)
+        for T, n in ((1, 1), (3, 7), (5, 64), (4, 65), (2, 5_000)):
+            rows = rng.random((T, n)) < 0.3
+            d = new_design([set(map(int, np.flatnonzero(row))) for row in rows], n)
+            text = format_design(d)
+            body = ["".join("1" if bit else "0" for bit in row) for row in rows]
+            assert text == "\n".join([f"{T} {n}", *body]) + "\n"
+            assert parse_design(text) == d
+            assert d.row_masks == tuple(sum(1 << i for i, c in enumerate(r) if c == "1") for r in body)
+        assert format_design(parse_design("0 0\n")) == "0 0\n"
+
     def test_no_trailing_newline(self):
         assert parse_design("1 2\n10") == new_design([{0}], 2)
 
