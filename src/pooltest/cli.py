@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -41,14 +41,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("POOLTEST_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"POOLTEST_SEED must be an integer, got {raw!r}") from None
-
-
 def _print_report(report, as_json: bool, width: int = 0) -> None:
     """Print a report as one JSON object, or one padded line per field that is set."""
     if as_json:
@@ -73,7 +65,9 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process, built on first use; parsing never changes it."""
     # options that several subcommands share, each declared once and attached through `parents`
     design, prior, decoder, as_json, output, seed, outcome = (
         argparse.ArgumentParser(add_help=False) for _ in range(7)
@@ -83,12 +77,9 @@ def build_parser() -> _Parser:
     decoder.add_argument("--decoder", choices=[d.value for d in DecoderId], required=True)
     as_json.add_argument("--json", action="store_true", help="print the report as JSON")
     output.add_argument("-o", "--output", help="output path (default stdout)")
-    seed.add_argument("--seed", type=int, default=_default_seed())
+    seed.add_argument("--seed", type=int, default=0)
     run_group = argparse.ArgumentParser(add_help=False, parents=[seed])
     run_group.add_argument("--trials", type=int, default=100_000)
-    run_group.add_argument("--workers", type=int, default=1, help=(
-        "number of random substreams the trial blocks are dealt over (default 1); "
-        "results depend on it; the substreams run in order and start no threads"))
     # a parent only to keep decode's required options in their listed order
     outcome.add_argument("--outcome", required=True, help="0/1 string, one bit per test")
 
@@ -211,7 +202,9 @@ def _cmd_figure(args) -> int:
 def _cmd_disguise(args) -> int:
     d = _read_design(args.design)
     prior = Prior(args.p)
-    budget = None if args.exact_budget <= 0 else args.exact_budget
+    if args.exact_budget < 0:
+        raise ValueError(f"exact-budget must be nonnegative, got {args.exact_budget}")
+    budget = args.exact_budget or None
     report = disguise_mod.mean_log_bound(d, prior, exact_budget=budget)
     if args.json:
         _print_report(report, True)
@@ -247,7 +240,7 @@ def _cmd_exact_error(args) -> int:
 def _cmd_simulate(args) -> int:
     d = _read_design(args.design)
     result = sim_mod.monte_carlo_error(
-        d, Prior(args.p), DecoderId(args.decoder), args.trials, args.seed, args.workers
+        d, Prior(args.p), DecoderId(args.decoder), args.trials, args.seed
     )
     _print_report(result, args.json, 10)
     return 0
@@ -255,9 +248,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = _read_design(args.design)
-    report = sim_mod.verify_theorem(
-        d, Prior(args.p), trials=args.trials, seed=args.seed, workers=args.workers
-    )
+    report = sim_mod.verify_theorem(d, Prior(args.p), trials=args.trials, seed=args.seed)
     if args.json:
         _print_report(report, True)
     else:
@@ -284,8 +275,8 @@ def _cmd_verify(args) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse and dispatch; exit 0 on success, 1 on usage errors, 2 on verification failure."""
+    parser = build_parser()
     try:
-        parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

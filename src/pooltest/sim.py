@@ -270,7 +270,6 @@ def verify_theorem(
     prior: Prior,
     trials: int = 100_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check the observed error of a design against the floor epsilon(p).
 
@@ -279,17 +278,17 @@ def verify_theorem(
     decoding budget allows, COMP beyond it).  Per-item disguise bounds are
     checked exactly wherever the enumeration budget allows.
     """
-    _check_run(trials, seed, workers)
+    _check_run(trials, seed)
     floor = bounds.epsilon_bound(prior).epsilon
     applicable = design.T < design.n
     if design.n <= EXACT_ITEM_BUDGET[DecoderId.MAP]:
         observed = exact_average_error(design, prior, DecoderId.MAP)
         method = "exact-map"
     elif design.n <= MAP_ITEM_BUDGET:
-        observed = monte_carlo_error(design, prior, DecoderId.MAP, trials, seed, workers).ci_low
+        observed = monte_carlo_error(design, prior, DecoderId.MAP, trials, seed).ci_low
         method = "mc-map"
     else:
-        observed = monte_carlo_error(design, prior, DecoderId.COMP, trials, seed, workers).ci_low
+        observed = monte_carlo_error(design, prior, DecoderId.COMP, trials, seed).ci_low
         method = "mc-comp"
 
     items = disguise.mean_log_bound(design, prior, exact_budget=disguise.CO_ITEM_BUDGET).items

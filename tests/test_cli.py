@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import threading
 
 import pytest
 
+import pooltest
 from pooltest import (
     DecoderId,
     Prior,
@@ -16,6 +19,7 @@ from pooltest import (
     parse_design,
     save_design,
     sim,
+    to_dict,
 )
 from pooltest.cli import build_parser, main, run
 
@@ -100,11 +104,65 @@ class TestUsageErrors:
         assert exc.value.code == code
 
     def test_bad_seed_environment(self, monkeypatch, capsys):
+        # the seed comes from --seed alone; the environment is not read
         monkeypatch.setenv("POOLTEST_SEED", "abc")
         for argv in (["bound", "-p", "0.5"], ["gen", "individual", "-n", "3"]):
-            assert run(argv) == 1
-            err = capsys.readouterr().err
-            assert err.splitlines() == ["error: POOLTEST_SEED must be an integer, got 'abc'"]
+            assert run(argv) == 0
+            assert capsys.readouterr().err == ""
+
+
+def run_fresh(argv):
+    """Run the CLI in a new interpreter; return (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(pooltest.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "pooltest.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestCachedParser:
+    """One parser serves every call in a process, and no call leaks into the next."""
+
+    def test_built_once_per_process(self, capsys):
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        for argv in (["bound", "-p", "0.5"], ["bound", "-p", "2"], ["frobnicate"], ["--help"]):
+            run(argv)
+        assert build_parser.cache_info().misses == 1
+
+    def test_seed_does_not_stick(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("2 3\n110\n011\n")
+        argv = ["simulate", "--design", str(f), "--decoder", "dd", "-p", "0.3",
+                "--trials", "1000", "--json"]
+        assert run(argv + ["--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["seed"] == 0
+        assert run_fresh(argv) == (0, captured.out, captured.err)
+
+    @pytest.mark.parametrize("before", [["bound", "-p"], ["bound", "--bogus"], ["--help"],
+                                        ["verify", "--help"]])
+    def test_usage_error_or_help_then_valid_call(self, before, capsys):
+        argv = ["bound", "-p", "0.3", "--delta", "0.25", "--json"]
+        assert run(argv) == 0
+        expected = capsys.readouterr()
+        run(before)
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_workers_is_unrecognised(self, command, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("1 2\n11\n")
+        decoder = ["--decoder", "map"] if command == "simulate" else []
+        assert run([command, "--design", str(f), "-p", "0.3", *decoder, "--workers", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == "error: unrecognized arguments: --workers 2"
 
 
 class TestFigureCommand:
@@ -227,7 +285,7 @@ class TestSimulateCommand:
         assert run(["simulate", "--design", str(f), "--decoder", "map", "-p", "0.3",
                     "--trials", "2000", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["seed"] == 42
+        assert data["seed"] == 0
         assert data["errors"] == 0
         assert data["ci_low"] == 0.0
 
@@ -246,34 +304,19 @@ class TestSimulateCommand:
             "decoder   dd",
         ]
 
-    def test_workers_flag(self, tmp_path, capsys):
-        f = tmp_path / "d.txt"
-        f.write_text("1 2\n11\n")
-        assert run(["simulate", "--design", str(f), "--decoder", "map", "-p", "0.3",
-                    "--trials", "5000", "--seed", "7", "--workers", "4", "--json"]) == 0
-        first = json.loads(capsys.readouterr().out)
-        run(["simulate", "--design", str(f), "--decoder", "map", "-p", "0.3",
-             "--trials", "5000", "--seed", "7", "--workers", "4", "--json"])
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-
-    def test_workers_count_substreams_and_start_no_thread(self, tmp_path, capsys, monkeypatch):
+    def test_three_blocks_one_substream_and_no_thread(self, tmp_path, capsys, monkeypatch):
         def refuse(thread):
             raise AssertionError("simulate started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         f = tmp_path / "d.txt"
         f.write_text("2 3\n110\n011\n")
-        args = ["simulate", "--design", str(f), "--decoder", "dd", "-p", "0.3",
-                "--trials", str(3 * sim.BLOCK_TRIALS), "--seed", "7", "--workers"]
-        assert run(args + ["3"]) == 0  # one substream per block
-        per_block = capsys.readouterr().out
-        assert run(args + ["1000000000000"]) == 0
-        assert capsys.readouterr().out == per_block
-        assert run(args + ["0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: workers must be positive")
+        trials = 3 * sim.BLOCK_TRIALS
+        assert run(["simulate", "--design", str(f), "--decoder", "dd", "-p", "0.3",
+                    "--trials", str(trials), "--seed", "7", "--json"]) == 0
+        expected = sim.monte_carlo_error(parse_design(f.read_text()), Prior(0.3), DecoderId.DD,
+                                         trials, 7, 1)
+        assert json.loads(capsys.readouterr().out) == to_dict(expected)
 
     def test_trial_over_chunk_budget_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 1000)
@@ -301,7 +344,7 @@ class TestVerifyCommand:
         import pooltest.cli as cli_mod
         from pooltest.sim import VerificationReport
 
-        def fake_verify(design, prior, trials=0, seed=0, workers=1):
+        def fake_verify(design, prior, trials=0, seed=0):
             return VerificationReport(
                 design_summary="stub",
                 p=prior.p,
@@ -325,14 +368,13 @@ class TestVerifyCommand:
             f = tmp_path / f"id{n}.txt"
             save_design(gen_individual(n), str(f))
             args = ["verify", "--design", str(f), "-p", "0.3"]
-            for bad in (["--trials", "-1", "--seed", "-3", "--workers", "0"],
-                        ["--workers", "0"], ["--seed", "-3"]):
+            for bad, message in ((["--trials", "-1", "--seed", "-3"], "trials must be positive"),
+                                 (["--trials", "0"], "trials must be positive"),
+                                 (["--seed", "-3"], "seed must be nonnegative")):
                 assert run(args + bad) == 1
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert captured.err.startswith("error: ")
-            assert run(args + ["--trials", "0"]) == 1
-            assert capsys.readouterr().err.startswith("error: trials must be positive")
+                assert captured.err.startswith(f"error: {message}")
 
     def test_json_output(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
@@ -377,3 +419,12 @@ class TestDisguiseCommand:
         exact = {int(line.split()[0]): line.split()[3] for line in tables["25"][1:31]}
         assert [i for i, value in exact.items() if value == "-"] == list(range(27))
         assert all(line.split()[3] == "-" for line in tables["0"][1:31])
+
+    @pytest.mark.parametrize("budget", ["-1", "-3"])
+    def test_negative_exact_budget_exits_one(self, budget, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("2 3\n110\n011\n")
+        assert run(["disguise", "--design", str(f), "-p", "0.3", "--exact-budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: exact-budget must be nonnegative, got {budget}"]

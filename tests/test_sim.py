@@ -434,9 +434,8 @@ class TestVerifyTheorem:
         for d in (new_design([{0, 1}], 2), mc_map_design):
             for kwargs, message in (
                 ({"trials": 0}, "trials must be positive"),
-                ({"workers": 0}, "workers must be positive"),
                 ({"seed": -1}, "seed must be nonnegative"),
-                ({"trials": -1, "seed": -3, "workers": 0}, "trials must be positive"),
+                ({"trials": -1, "seed": -3}, "trials must be positive"),
             ):
                 with pytest.raises(ValueError, match=message):
                     verify_theorem(d, Prior(0.3), **kwargs)
