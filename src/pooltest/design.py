@@ -8,9 +8,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DesignFormatError, DesignGenerationError
+from .errors import BudgetExceededError, DesignFormatError, DesignGenerationError
 
 STUB_RETRY_BUDGET = 1000
+# Largest design accepted: items, and entries T * n (the cached float32
+# matrix holds 4 bytes per entry, 16 MB at the budget).
+DESIGN_ITEM_BUDGET = 1 << 16
+DESIGN_ENTRY_BUDGET = 1 << 22
+
+
+def _check_size(T: int, n: int) -> None:
+    """Raise `BudgetExceededError` when a T x n design is over the size budget."""
+    if n > DESIGN_ITEM_BUDGET or T * n > DESIGN_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"a design of {T} tests x {n} items is over the size budget of "
+            f"{DESIGN_ITEM_BUDGET} items and {DESIGN_ENTRY_BUDGET} entries T*n"
+        )
 
 
 @dataclass(frozen=True)
@@ -20,7 +33,8 @@ class TestDesign:
     Rows are stored as integer bitmasks (bit ``i`` set means item ``i`` is in
     the test), with per-test weights cached at construction and the dense
     matrix built on first use.  Instances are immutable and hashable, so they
-    can be used as cache keys.
+    can be used as cache keys.  A design over the size budget
+    (`DESIGN_ITEM_BUDGET`, `DESIGN_ENTRY_BUDGET`) raises `BudgetExceededError`.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -33,6 +47,7 @@ class TestDesign:
         if self.n < 0:
             raise ValueError(f"item count must be nonnegative, got {self.n}")
         masks = tuple(int(m) for m in self.row_masks)
+        _check_size(len(masks), self.n)
         full = (1 << self.n) - 1
         for t, m in enumerate(masks):
             if not 0 <= m <= full:
@@ -120,6 +135,7 @@ def new_design(rows: Iterable[Iterable[int]], n: int) -> TestDesign:
     """Build a design from an iterable of item-index collections."""
     if n < 1:
         raise ValueError("a design needs at least one item")
+    _check_size(0, n)
     masks = tuple(_mask_from_indices(row, n) for row in rows)
     return TestDesign(n=n, row_masks=masks)
 
@@ -128,6 +144,7 @@ def gen_individual(n: int) -> TestDesign:
     """The identity design: test t contains exactly item t."""
     if n < 1:
         raise ValueError("a design needs at least one item")
+    _check_size(n, n)
     return TestDesign(n=n, row_masks=tuple(1 << i for i in range(n)))
 
 
@@ -139,6 +156,7 @@ def gen_bernoulli(n: int, T: int, nu: float, seed: int) -> TestDesign:
         raise ValueError("test count must be nonnegative")
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"inclusion probability must lie in [0, 1], got {nu}")
+    _check_size(T, n)
     rng = np.random.default_rng(seed)
     entries = rng.random((T, n)) < nu
     return TestDesign(n=n, row_masks=tuple(_pack_row(row) for row in entries))
@@ -160,6 +178,7 @@ def gen_doubly_regular(n: int, l: int, r: int, seed: int) -> TestDesign:
     if (n * l) % r != 0:
         raise ValueError(f"n*l = {n * l} is not divisible by items-per-test r = {r}")
     T = n * l // r
+    _check_size(T, n)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), l)
     for _ in range(STUB_RETRY_BUDGET):
@@ -246,6 +265,7 @@ def parse_design(text: str) -> TestDesign:
         raise DesignFormatError(f"header must be two integers `T n`, got {lines[0]!r}") from exc
     if T < 0 or n < 0 or (T and not n):
         raise DesignFormatError(f"need T, n >= 0 and n >= 1 when T >= 1, got T={T} n={n}")
+    _check_size(T, n)
     body = lines[1:]
     if len(body) != T:
         raise DesignFormatError(f"expected {T} test rows, found {len(body)}")

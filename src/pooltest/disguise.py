@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds
 from .design import TestDesign, _bit_positions, _reindex_masks
 from .errors import BudgetExceededError
-from .model import BLOCK_TRIALS, Prior, count_by_size
+from .model import Prior, count_by_size, subset_blocks
 
 CO_ITEM_BUDGET = 25
 
@@ -98,13 +98,12 @@ def _inclusion_exclusion_counts(m: int, sets: list[int]) -> tuple[int, ...]:
 
     The subsets missing all of the sets in A number C(m - |union A|, j), so
     the count is the sum over every A of (-1)^|A| C(m - |union A|, j).  The
-    2^len(sets) choices of A are walked as bitmasks in blocks of `BLOCK_TRIALS`
-    and histogrammed by the parity of |A| and by |union A|; the binomials are
+    2^len(sets) choices of A are walked as bitmasks by `subset_blocks` and
+    histogrammed by the parity of |A| and by |union A|; the binomials are
     then applied in exact integers.
     """
     hist = np.zeros(2 * (m + 1), dtype=np.int64)
-    for start in range(0, 1 << len(sets), BLOCK_TRIALS):
-        choices = np.arange(start, min(start + BLOCK_TRIALS, 1 << len(sets)), dtype="<u4")
+    for choices in subset_blocks(len(sets)):
         union = np.zeros(choices.size, dtype="<u4")
         for t, s in enumerate(sets):
             union |= s * (choices >> t & 1)

@@ -123,17 +123,22 @@ def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:
     return OutcomeVector(tuple(bool(m & k) for m in design.row_masks))
 
 
+def subset_blocks(m: int) -> Iterator[np.ndarray]:
+    """Yield the 2^m subsets of m items in increasing order, as uint32 bitmasks
+    (bit ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`."""
+    if not 0 <= m <= 32:
+        raise ValueError(f"cannot enumerate the subsets of {m} items as uint32 bitmasks")
+    for start in range(0, 1 << m, BLOCK_TRIALS):
+        yield np.arange(start, min(start + BLOCK_TRIALS, 1 << m), dtype="<u4")
+
+
 def count_by_size(m: int, event: Callable[[np.ndarray], np.ndarray]) -> tuple[int, ...]:
     """Count, by size j, the subsets of m items on which ``event`` holds.
 
-    The 2^m subsets are walked in increasing order as uint32 bitmasks (bit
-    ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`; ``event`` maps a block
-    of bitmasks to one boolean per bitmask.
+    The subsets are walked by `subset_blocks`; ``event`` maps a block of
+    bitmasks to one boolean per bitmask.
     """
-    if not 0 <= m <= 32:
-        raise ValueError(f"cannot enumerate the subsets of {m} items as uint32 bitmasks")
     counts = np.zeros(m + 1, dtype=np.int64)
-    for start in range(0, 1 << m, BLOCK_TRIALS):
-        ks = np.arange(start, min(start + BLOCK_TRIALS, 1 << m), dtype="<u4")
+    for ks in subset_blocks(m):
         counts += np.bincount(np.bitwise_count(ks[event(ks)]), minlength=m + 1)
     return tuple(int(c) for c in counts)

@@ -14,7 +14,7 @@ from .decode import (
 )
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import BLOCK_TRIALS, Prior, count_by_size
+from .model import BLOCK_TRIALS, Prior, count_by_size, subset_blocks
 
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
@@ -154,37 +154,79 @@ def _map_block(design: TestDesign, prior: Prior):
     return decode
 
 
+def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
+    """Return ``decode(positive)``: the decoder on a block of outcomes, s x T to s x n.
+
+    COMP and DD decode by matrix products (`comp_block`, `dd_block`), MAP
+    through its outcome cache (`_map_block`).
+    """
+    if decoder is DecoderId.MAP:
+        return _map_block(design, prior)
+    return partial(comp_block if decoder is DecoderId.COMP else dd_block, design)
+
+
 def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
     """Return ``wrong(sets)``, which flags the defective sets the decoder gets wrong.
 
     ``sets`` is a boolean block, one row per defective set.  The block goes
     through the OR channel as one matrix product, and the decoder estimates
-    the whole block of outcomes at once: COMP and DD by matrix products
-    (`comp_block`, `dd_block`), MAP through its outcome cache (`_map_block`).
+    the whole block of outcomes at once (`_block_decoder`).
     """
-    if decoder is DecoderId.MAP:
-        decode_block = _map_block(design, prior)
-    else:
-        decode_block = partial(comp_block if decoder is DecoderId.COMP else dd_block, design)
+    decode_block = _block_decoder(design, prior, decoder)
     channel = _or_channel(design)
     return lambda sets: (decode_block(channel(sets)) != sets).any(axis=1)
 
 
+def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
+    """The boolean rows of a block of uint32 bitmasks: entry (r, i) is bit i of mask r."""
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, count=width, bitorder="little")
+    return bits.view(bool)
+
+
+def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> list[int]:
+    """Count, by size, the defective sets the decoder gets right, walking the 2^T outcomes.
+
+    A set K is decoded right exactly when K is the estimate of some outcome y
+    and the channel maps that estimate back to y, so each outcome adds at most
+    one set.  Each block of outcomes is decoded by COMP first; an outcome that
+    COMP's estimate does not reproduce is in no set's image and is dropped.
+    COMP keeps its estimates of the rest, and DD and MAP decode them anew.
+    """
+    n, T = design.n, design.T
+    decode_block = _block_decoder(design, prior, decoder)
+    channel = _or_channel(design)
+    success = np.zeros(n + 1, dtype=np.int64)
+    for ys in subset_blocks(T):
+        positive = _bit_rows(ys, T)
+        estimates = comp_block(design, positive)
+        right = (channel(estimates) == positive).all(axis=1)
+        if decoder is not DecoderId.COMP:
+            positive = positive[right]
+            estimates = decode_block(positive)
+            right = (channel(estimates) == positive).all(axis=1)
+        success += np.bincount(np.count_nonzero(estimates[right], axis=1), minlength=n + 1)
+    return success.tolist()
+
+
 def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) -> float:
-    """Prior-weighted error probability, summed over all 2^n defective sets."""
+    """Exact prior-weighted error probability, from integer error counts by set size.
+
+    With fewer tests than items the 2^T outcomes are walked
+    (`_success_counts`), and the errors of size j are the C(n, j) sets of that
+    size less the successes; otherwise the 2^n defective sets are walked by
+    `count_by_size`.  Both walks give the same integers.
+    """
     budget = EXACT_ITEM_BUDGET[decoder]
     if design.n > budget:
         raise BudgetExceededError(
-            f"exact error with {decoder.value} enumerates 2^n sets; n = {design.n} exceeds {budget}"
+            f"exact error with {decoder.value} is limited to {budget} items; n = {design.n}"
         )
     n = design.n
+    if design.T < n:
+        success = _success_counts(design, prior, decoder)
+        return prior.probability([math.comb(n, j) - s for j, s in enumerate(success)])
     wrong = _error_tally(design, prior, decoder)
-
-    def errs(ks: np.ndarray) -> np.ndarray:
-        bits = np.unpackbits(ks.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
-        return wrong(bits.view(bool))
-
-    return prior.probability(count_by_size(n, errs))
+    return prior.probability(count_by_size(n, lambda ks: wrong(_bit_rows(ks, n))))
 
 
 def _sampler(design: TestDesign, p: float):

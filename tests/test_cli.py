@@ -276,6 +276,29 @@ class TestExactErrorCommand:
         assert run(["exact-error", "--design", str(f), "--decoder", "map", "-p", "0.3"]) == 0
         assert float(out_lines(capsys)[0]) == pytest.approx(0.30, abs=1e-12)
 
+    def test_outcome_walk_value(self, capsys, monkeypatch):
+        import io
+
+        design = pooltest.format_design(pooltest.gen_bernoulli(14, 10, 0.3, seed=1))
+        monkeypatch.setattr("sys.stdin", io.StringIO(design))
+        assert run(["exact-error", "--design", "-", "--decoder", "map", "-p", "0.3"]) == 0
+        assert out_lines(capsys) == ["0.798589497958"]
+
+
+class TestDesignSizeBudget:
+    @pytest.mark.parametrize("command", [["disguise", "-p", "0.3"], ["verify", "-p", "0.3"],
+                                         ["exact-error", "--decoder", "comp", "-p", "0.3"]])
+    def test_over_budget_file_exits_one(self, command, tmp_path, capsys):
+        f = tmp_path / "big.txt"
+        f.write_text("0 200000\n")
+        assert run([command[0], "--design", str(f), *command[1:]]) == 1
+        assert "size budget" in capsys.readouterr().err
+
+    def test_over_budget_generator_exits_one(self, capsys):
+        assert run(["gen", "individual", "-n", "3000"]) == 1
+        captured = capsys.readouterr()
+        assert "size budget" in captured.err and captured.out == ""
+
 
 class TestSimulateCommand:
     def test_json_and_seed_env(self, tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Tests for design construction, generators, reduction, and text I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pooltest import (
+    BudgetExceededError,
     DesignFormatError,
     TestDesign,
     format_design,
@@ -15,6 +18,7 @@ from pooltest import (
     reduce_design,
     to_dict,
 )
+from pooltest.design import DESIGN_ENTRY_BUDGET, DESIGN_ITEM_BUDGET
 
 import helpers
 
@@ -293,3 +297,49 @@ class TestDesignType:
     def test_mask_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TestDesign(n=2, row_masks=(4,))
+
+
+class TestSizeBudget:
+    def test_sizes_in_use_accepted(self):
+        # n = 5,000 in the text-format test, n = 600 (T = 300) in Monte Carlo
+        # tests, n = 144 in the verify benchmark.
+        assert DESIGN_ITEM_BUDGET >= 5_000 and DESIGN_ENTRY_BUDGET >= 300 * 600
+        assert parse_design(f"0 {DESIGN_ITEM_BUDGET}\n").n == DESIGN_ITEM_BUDGET
+        assert gen_bernoulli(DESIGN_ENTRY_BUDGET // 1024, 1024, 0.0, seed=0).T == 1024
+
+    @pytest.mark.parametrize("header", [
+        "0 200000",
+        f"0 {DESIGN_ITEM_BUDGET + 1}",
+        f"{DESIGN_ENTRY_BUDGET // 64 + 1} 64",
+        f"{10**12} {10**12}",
+    ])
+    def test_over_budget_header_rejected_before_any_row(self, header):
+        # No row follows the header, so reading on would report missing rows.
+        with pytest.raises(BudgetExceededError, match="size budget"):
+            parse_design(f"# comment\n{header}\n")
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_individual(2_049),  # 2049^2 entries
+        lambda: gen_bernoulli(DESIGN_ITEM_BUDGET + 1, 0, 0.1, seed=0),
+        lambda: gen_bernoulli(2_048, 2_049, 0.1, seed=0),
+        lambda: gen_bernoulli(10**12, 10**12, 0.1, seed=0),
+        lambda: gen_doubly_regular(4_096, 2, 2, seed=0),  # T = 4096
+        lambda: gen_doubly_regular(10**12, 2, 4, seed=0),
+        lambda: new_design([], DESIGN_ITEM_BUDGET + 1),
+        lambda: TestDesign(n=DESIGN_ITEM_BUDGET + 1, row_masks=()),
+    ])
+    def test_over_budget_arguments_rejected_before_building(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="size budget"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_over_budget_rows_rejected(self):
+        rows = (0,) * (DESIGN_ENTRY_BUDGET // 64 + 1)
+        with pytest.raises(BudgetExceededError, match="size budget"):
+            TestDesign(n=64, row_masks=rows)
+        assert TestDesign(n=64, row_masks=rows[1:]).T == DESIGN_ENTRY_BUDGET // 64

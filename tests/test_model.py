@@ -13,6 +13,7 @@ from pooltest import (
     outcomes,
     sample_defective_set,
 )
+from pooltest.model import BLOCK_TRIALS, count_by_size, subset_blocks
 
 import helpers
 
@@ -132,3 +133,22 @@ def test_outcomes_monotone_and_or(case):
     # monotone: subset gives bitwise-smaller outcomes
     sub = outcomes(design, DefectiveSet(n=n, mask=a & b))
     assert sub.signature & ya.signature == sub.signature
+
+
+class TestSubsetWalk:
+    def test_every_subset_once_in_order(self):
+        for m in (0, 3, 13):  # 2^13 subsets span two blocks
+            blocks = list(subset_blocks(m))
+            assert all(b.dtype == np.dtype("<u4") and 0 < len(b) <= BLOCK_TRIALS for b in blocks)
+            assert np.concatenate(blocks).tolist() == list(range(1 << m))
+
+    def test_width_checked(self):
+        for m in (-1, 33):
+            with pytest.raises(ValueError):
+                next(subset_blocks(m))
+            with pytest.raises(ValueError):
+                count_by_size(m, lambda ks: ks > 0)
+
+    def test_counts_by_size(self):
+        assert count_by_size(5, lambda ks: np.ones(ks.size, dtype=bool)) == (1, 5, 10, 10, 5, 1)
+        assert count_by_size(4, lambda ks: ks & 1 == 1) == (0, 1, 3, 3, 1)

@@ -116,6 +116,85 @@ class TestExactAverageError:
                     got = exact_average_error(d, Prior(p), decoder)
                     assert got == helpers.exact_error_reference(d, p, decoder)
 
+    def test_outcome_walk_matches_per_set_loop(self):
+        # Every design here has fewer tests than items, so the 2^T outcomes
+        # are walked; the last one's 2^13 outcomes span two blocks.
+        rng = np.random.default_rng(47)
+        designs = [TestDesign(n=n, row_masks=()) for n in (1, 4, 9)]
+        designs.append(new_design([{0, 1}, {1, 2}, set(), {2, 3}], 6))  # items 4, 5 untested
+        for _ in range(12):
+            n = int(rng.integers(2, 11))
+            designs.append(helpers.random_messy_design(rng, n, int(rng.integers(1, n))))
+        designs.append(new_design(
+            [{0, 1, 2}, {3, 4}, {5, 6, 7}, {0, 8}, {9, 10}, {11, 12}, {1, 13}, {2, 3},
+             {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}], 14))
+        for d in designs:
+            assert d.T < d.n
+            for p in (0.2, 0.5, 0.8):
+                for decoder in DecoderId:
+                    got = exact_average_error(d, Prior(p), decoder)
+                    assert got == helpers.exact_error_reference(d, p, decoder)
+
+    def test_walk_chosen_by_shape(self, monkeypatch):
+        # With T < n the front end and the block decoder see at most the 2^T
+        # outcomes; with T >= n the block decoder sees all 2^n sets.
+        front, decoded = [], []
+        comp, choose = sim.comp_block, sim._block_decoder
+
+        def recording_comp(design, positive):
+            front.append(len(positive))
+            return comp(design, positive)
+
+        def recording_choose(*args):
+            decode_block = choose(*args)
+
+            def recorded(positive):
+                decoded.append(len(positive))
+                return decode_block(positive)
+
+            return recorded
+
+        monkeypatch.setattr(sim, "comp_block", recording_comp)
+        monkeypatch.setattr(sim, "_block_decoder", recording_choose)
+        few = new_design([{0, 1, 2}, {2, 3}, {4, 5, 6}, {6, 7, 8}, {8, 9}, {1, 9}], 10)
+        many = new_design([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}], 5)
+        for decoder in DecoderId:
+            front.clear()
+            decoded.clear()
+            exact_average_error(few, Prior(0.3), decoder)
+            assert front == [1 << few.T]
+            assert sum(decoded) <= 1 << few.T and bool(decoded) == (decoder is not DecoderId.COMP)
+            decoded.clear()
+            exact_average_error(many, Prior(0.3), decoder)
+            assert decoded == [1 << many.n]
+
+    def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
+        # MAP searches go through the module attribute sim.decode_mask, and
+        # only for outcomes some set produces that DD's estimate does not
+        # explain; for p > 1/2 COMP's estimate explains every such outcome.
+        d = new_design([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {6, 7}, {7, 8}], 9)
+        images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
+        unexplained = {s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s}
+        assert unexplained and len(images) < 1 << d.T
+        original = sim.decode_mask
+        searched = []
+
+        def recording(design, sig, *args):
+            searched.append(sig)
+            return original(design, sig, *args)
+
+        monkeypatch.setattr(sim, "decode_mask", recording)
+        for p in (0.1, 0.3, 0.5):
+            searched.clear()
+            assert exact_average_error(d, Prior(p), DecoderId.MAP) == helpers.exact_error_reference(
+                d, p, DecoderId.MAP
+            )
+            assert sorted(searched) == sorted(unexplained)
+        for p in (0.6, 0.9):
+            searched.clear()
+            exact_average_error(d, Prior(p), DecoderId.MAP)
+            assert searched == []
+
     def test_budgets_enforced(self):
         big = TestDesign(n=15, row_masks=(1,))
         with pytest.raises(BudgetExceededError):
