@@ -53,7 +53,7 @@ def _print_report(report, as_json: bool, width: int = 0) -> None:
 
 def _read_design(path: str) -> design_mod.TestDesign:
     if path == "-":
-        return design_mod.parse_design(sys.stdin.read())
+        return design_mod.parse_design(sys.stdin)
     return design_mod.load_design(path)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import BudgetExceededError, InconsistentOutcomeError
-from .model import DefectiveSet, OutcomeVector, Prior
+from .model import DefectiveSet, OutcomeVector, Prior, fold_lanes, lane_columns
 
 MAP_ITEM_BUDGET = 30
 
@@ -57,27 +57,35 @@ def dd_mask(design: TestDesign, y_sig: int) -> int:
 
 
 def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
-    """COMP on a block of outcomes, one per row of the boolean ``positive`` (s x T).
+    """COMP on a block of outcomes held in bit lanes, one row per test (T x W uint64).
 
-    Returns the s x n boolean estimates: the items in no negative test.  Row r
-    equals `comp_mask` of row r's outcome.
+    Returns the lanes of the estimates, one row per item (n x W): an item's
+    lane is the AND of its tests' lanes, so it keeps the trials in which no
+    test of the item is negative.  Trial r equals `comp_mask` of trial r's
+    outcome.  An item in no test is all ones, padding bits included.
     """
-    return (~positive).astype(np.float32) @ design.matrix == 0
+    return fold_lanes(positive, design.incidence.item_tests, np.bitwise_and)
 
 
 def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
-    """DD on a block of outcomes, one per row of the boolean ``positive`` (s x T).
+    """DD on a block of outcomes held in bit lanes, one row per test (T x W uint64).
 
-    Returns the s x n boolean estimates: the COMP survivors that are the sole
-    survivor of some positive test.  Row r equals `dd_mask` of row r's outcome.
-    The survivor count of each test is a float32 sum of at most its weight
-    ones, so it is exact, and ``== 1`` is safe, while every test weight is
-    below 2^24; the simulator's callers keep n itself at most 2^22.
+    Returns the lanes of the estimates, one row per item (n x W): the COMP
+    survivors that are the sole survivor of some positive test.  Each test
+    ORs its survivors' lanes into ``once``, and into ``twice`` where ``once``
+    was already set, so ``once & ~twice`` marks the trials in which it holds
+    exactly one survivor; a negative test holds none.  Trial r equals
+    `dd_mask` of trial r's outcome.
     """
-    X = design.matrix
+    test_items, item_tests = design.incidence
     survivors = comp_block(design, positive)
-    sole = positive & (survivors.astype(np.float32) @ X.T == 1)
-    return survivors & (sole.astype(np.float32) @ X > 0)
+    columns = lane_columns(survivors, test_items, 0)
+    once = next(columns)
+    twice = np.zeros_like(once)
+    for rows in columns:
+        twice |= once & rows
+        once |= rows
+    return survivors & fold_lanes(once & ~twice, item_tests, np.bitwise_or)
 
 
 def _check_map_budget(n: int) -> None:

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import BudgetExceededError, DesignFormatError, DesignGenerationError
 
 STUB_RETRY_BUDGET = 1000
-# Largest design accepted: items, and entries T * n (the cached float32
-# matrix holds 4 bytes per entry, 16 MB at the budget).
+# Largest design accepted: items, and entries T * n.  Each of the two cached
+# incidence tables holds at most one 4-byte entry per T * n entry, so at most
+# 32 MB together at the budget.
 DESIGN_ITEM_BUDGET = 1 << 16
 DESIGN_ENTRY_BUDGET = 1 << 22
+# Most characters of design text read at once: a row of the largest design
+# plus room for surrounding whitespace and its line ending.
+LINE_CHAR_BUDGET = DESIGN_ITEM_BUDGET + 64
 
 
 def _check_size(T: int, n: int) -> None:
@@ -26,13 +31,26 @@ def _check_size(T: int, n: int) -> None:
         )
 
 
+class Incidence(NamedTuple):
+    """A design's incidence lists as read-only padded int32 tables.
+
+    Row t of ``test_items`` lists the items of test t in increasing order,
+    padded with n to the largest test weight; row i of ``item_tests`` lists
+    the tests holding item i in increasing order, padded with T to the most
+    tests any item is in.  Each table has at least one column.
+    """
+
+    test_items: np.ndarray
+    item_tests: np.ndarray
+
+
 @dataclass(frozen=True)
 class TestDesign:
     """A T x n binary inclusion matrix.
 
     Rows are stored as integer bitmasks (bit ``i`` set means item ``i`` is in
-    the test), with per-test weights cached at construction and the dense
-    matrix built on first use.  Instances are immutable and hashable, so they
+    the test), with per-test weights cached at construction and the incidence
+    lists built on first use.  Instances are immutable and hashable, so they
     can be used as cache keys.  A design over the size budget
     (`DESIGN_ITEM_BUDGET`, `DESIGN_ENTRY_BUDGET`) raises `BudgetExceededError`.
     """
@@ -63,8 +81,8 @@ class TestDesign:
         return _bit_positions(self.row_masks[t])
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only T x n float32 inclusion matrix: entry (t, i) is 1 iff item i is in test t.
+    def incidence(self) -> Incidence:
+        """The incidence lists of each test and each item (see `Incidence`).
 
         Not a dataclass field, so equality, hashing, ``repr`` and serialization
         ignore it.
@@ -73,9 +91,22 @@ class TestDesign:
         packed = np.frombuffer(
             b"".join(m.to_bytes(nbytes, "little") for m in self.row_masks), dtype=np.uint8
         ).reshape(self.T, nbytes)
-        X = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(np.float32)
-        X.flags.writeable = False
-        return X
+        member = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
+        return Incidence(_padded_lists(member, self.n), _padded_lists(member.T, self.T))
+
+
+def _padded_lists(member: np.ndarray, pad: int) -> np.ndarray:
+    """Row r lists, in increasing order, the columns set in row r of the boolean
+    ``member``, padded with ``pad`` to the longest list and to at least one
+    entry; the table is read-only."""
+    counts = np.count_nonzero(member, axis=1)
+    table = np.full((len(member), max(counts.max(initial=0), 1)), pad, dtype=np.int32)
+    columns = np.broadcast_to(np.arange(member.shape[1], dtype=np.int32), member.shape)
+    # The first counts[r] slots of each row, filled in row-major order, take
+    # the set columns of that row in increasing order.
+    table[np.arange(table.shape[1]) < counts[:, None]] = columns[member]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -250,36 +281,59 @@ def format_design(design: TestDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_design(text: str) -> TestDesign:
-    """Parse the text format; lines starting with ``#`` are ignored."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+def _content_lines(stream: TextIO) -> Iterator[str]:
+    """Yield the stripped lines of ``stream`` that are neither blank nor ``#`` comments.
+
+    At most `LINE_CHAR_BUDGET` characters are read at once: a longer comment
+    line is skipped piece by piece, and a longer line of any other kind
+    raises `DesignFormatError`.
+    """
+    while piece := stream.readline(LINE_CHAR_BUDGET):
+        line = piece.strip()
+        if line.startswith("#"):
+            while len(piece) == LINE_CHAR_BUDGET and not piece.endswith("\n"):
+                piece = stream.readline(LINE_CHAR_BUDGET)
+        elif len(piece) == LINE_CHAR_BUDGET and not piece.endswith("\n"):
+            raise DesignFormatError(f"a line is longer than {LINE_CHAR_BUDGET} characters")
+        elif line:
+            yield line
+
+
+def parse_design(source: str | TextIO) -> TestDesign:
+    """Parse the text format from a string or a text stream; lines starting with ``#`` are ignored.
+
+    A stream is read line by line: the header is checked against the size
+    budget before any row is read, and the first bad row raises at once.
+    """
+    lines = _content_lines(io.StringIO(source) if isinstance(source, str) else source)
+    header = next(lines, None)
+    if header is None:
         raise DesignFormatError("missing `T n` header line")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise DesignFormatError(f"header must be two integers `T n`, got {lines[0]!r}")
+        raise DesignFormatError(f"header must be two integers `T n`, got {header!r}")
     try:
         T, n = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise DesignFormatError(f"header must be two integers `T n`, got {lines[0]!r}") from exc
+        raise DesignFormatError(f"header must be two integers `T n`, got {header!r}") from exc
     if T < 0 or n < 0 or (T and not n):
         raise DesignFormatError(f"need T, n >= 0 and n >= 1 when T >= 1, got T={T} n={n}")
     _check_size(T, n)
-    body = lines[1:]
-    if len(body) != T:
-        raise DesignFormatError(f"expected {T} test rows, found {len(body)}")
     masks = []
-    for t, row in enumerate(body):
+    for row in lines:
+        if len(masks) == T:
+            raise DesignFormatError(f"expected {T} test rows, found more")
         if len(row) != n or set(row) - {"0", "1"}:
-            raise DesignFormatError(f"test row {t} must be exactly {n} characters of 0/1")
+            raise DesignFormatError(f"test row {len(masks)} must be exactly {n} characters of 0/1")
         masks.append(int(row[::-1], 2))
+    if len(masks) != T:
+        raise DesignFormatError(f"expected {T} test rows, found {len(masks)}")
     return TestDesign(n=n, row_masks=tuple(masks))
 
 
 def load_design(path: str) -> TestDesign:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_design(fh.read())
+        return parse_design(fh)
 
 
 def save_design(design: TestDesign, path: str) -> None:

@@ -58,13 +58,17 @@ def _check_item(design: TestDesign, i: int) -> None:
         raise ValueError(f"item index {i} outside [0, {design.n})")
 
 
+def _own_tests(design: TestDesign, i: int) -> list[int]:
+    """The tests holding item ``i``, in increasing order, from the design's incidence lists."""
+    return [t for t in design.incidence.item_tests[i].tolist() if t < design.T]
+
+
 def co_items(design: TestDesign, i: int) -> tuple[int, ...]:
     """Items sharing at least one test with item ``i``."""
     _check_item(design, i)
     union = 0
-    for m in design.row_masks:
-        if m >> i & 1:
-            union |= m
+    for t in _own_tests(design, i):
+        union |= design.row_masks[t]
     return _bit_positions(union & ~(1 << i))
 
 
@@ -78,9 +82,8 @@ def disguise_bound(design: TestDesign, i: int, prior: Prior) -> tuple[float, flo
     """
     _check_item(design, i)
     total = 0.0
-    for t, m in enumerate(design.row_masks):
-        if m >> i & 1:
-            total += bounds._log_disguise_term(prior, design.weights[t])
+    for t in _own_tests(design, i):
+        total += bounds._log_disguise_term(prior, design.weights[t])
     return total, math.exp(total)
 
 
@@ -136,7 +139,7 @@ def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
         raise BudgetExceededError(
             f"item {i} shares tests with {m} items, over the enumeration budget of {CO_ITEM_BUDGET}"
         )
-    own_tests = (mask & ~(1 << i) for mask in design.row_masks if mask >> i & 1)
+    own_tests = (design.row_masks[t] & ~(1 << i) for t in _own_tests(design, i))
     sets = _minimal_sets(_reindex_masks(own_tests, co))
     if len(sets) < m:
         return _inclusion_exclusion_counts(m, sets)

@@ -1,4 +1,9 @@
-"""Defectivity prior, defective sets, the OR test channel, and subset counting."""
+"""Defectivity prior, defective sets, the OR test channel, subset counting, and bit lanes.
+
+A block of s trials is held in bit lanes: a k x ceil(s/64) uint64 array whose
+row r belongs to one item (or test) and whose bit b of word w is trial
+64w + b.  Bits past trial s in the last word are padding, which no count reads.
+"""
 
 from __future__ import annotations
 
@@ -142,3 +147,44 @@ def count_by_size(m: int, event: Callable[[np.ndarray], np.ndarray]) -> tuple[in
     for ks in subset_blocks(m):
         counts += np.bincount(np.bitwise_count(ks[event(ks)]), minlength=m + 1)
     return tuple(int(c) for c in counts)
+
+
+def to_lanes(rows: np.ndarray) -> np.ndarray:
+    """The bit lanes of a boolean block of trials, one trial per row of ``rows`` (s x k).
+
+    Row r of the k x ceil(s/64) result holds column r; its padding bits are 0.
+    """
+    s, k = rows.shape
+    bits = np.zeros((k, -(-s // 64) * 64), dtype=bool)
+    bits[:, :s] = rows.T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def from_lanes(lanes: np.ndarray, s: int) -> np.ndarray:
+    """The s x k boolean block of the first s trials held in ``lanes`` (k x W); inverts `to_lanes`."""
+    bits = np.unpackbits(lanes.view(np.uint8), axis=1, count=s, bitorder="little")
+    return np.ascontiguousarray(bits.view(bool).T)
+
+
+def lane_columns(lanes: np.ndarray, table: np.ndarray, fill) -> Iterator[np.ndarray]:
+    """Yield, for each column of the padded index ``table``, the rows of ``lanes`` it lists.
+
+    The padding index len(lanes) reads a row of ``fill`` words.
+    """
+    padded = np.empty((len(lanes) + 1, lanes.shape[1]), dtype=lanes.dtype)
+    padded[:-1] = lanes
+    padded[-1] = fill
+    for column in table.T:
+        yield padded.take(column, axis=0)
+
+
+def fold_lanes(lanes: np.ndarray, table: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Row r folds by ``op`` (``np.bitwise_or`` or ``np.bitwise_and``) the rows of
+    ``lanes`` listed in row r of the padded index ``table``, which has at least
+    one column; a row of padding alone gives op's identity (all zeros for OR,
+    all ones for AND)."""
+    columns = lane_columns(lanes, table, np.array(op.identity).astype(lanes.dtype))
+    out = next(columns)
+    for rows in columns:
+        op(out, rows, out=out)
+    return out

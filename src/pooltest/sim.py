@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -14,7 +13,9 @@ from .decode import (
 )
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import BLOCK_TRIALS, Prior, count_by_size, subset_blocks
+from .model import (
+    BLOCK_TRIALS, Prior, count_by_size, fold_lanes, from_lanes, subset_blocks, to_lanes,
+)
 
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
@@ -103,78 +104,85 @@ def _sim_result(hits: int, trials: int, seed: int, decoder: DecoderId | None) ->
     return SimResult(trials, hits, hits / trials, low, high, seed, decoder)
 
 
-def _or_channel(design: TestDesign):
-    """Return ``channel(sets)``: the s x T outcomes of an s x n boolean block of sets, by one product."""
-    # One view per decoder: taking `design.matrix.T` per block raised peak RSS
-    # by 4.7 MB (9%) on Monte Carlo COMP/DD at n = 600.
-    X = design.matrix.T
-    return lambda sets: (sets.astype(np.float32) @ X) > 0.5
+def _or_channel(design: TestDesign, sets: np.ndarray) -> np.ndarray:
+    """The outcome lanes (T x W) of a block of defective sets in lanes (n x W):
+    each test ORs the lanes of its items."""
+    return fold_lanes(sets, design.incidence.test_items, np.bitwise_or)
+
+
+def _differs(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
+    """One flag for each of the s trials in two blocks of lanes: whether any row differs."""
+    return from_lanes(np.bitwise_or.reduce(a ^ b, axis=0, keepdims=True), s)[:, 0]
 
 
 def _map_block(design: TestDesign, prior: Prior):
-    """Return ``decode(positive)``: MAP on a block of outcomes, one per row of ``positive`` (s x T).
+    """Return ``decode(positive, s)``: MAP on a block of s outcomes held in lanes (T x W).
 
-    Like `comp_block` and `dd_block`, it returns the s x n boolean estimates.
+    Like `comp_block` and `dd_block`, it returns the estimates' lanes (n x W).
     Raises `BudgetExceededError` at once when n is over the MAP budget.  Each
-    distinct outcome is decoded once across all calls, through one cache.  The
-    outcomes new to the cache are first decoded as one block by DD (COMP for
-    p > 1/2); a row whose estimate reproduces its outcome keeps it, since
-    `map_mask` returns exactly that set there: DD's set is its forced set and
-    leaves no positive test to cover, and for p > 1/2 it returns the COMP
-    survivors.  Only the other rows go through `decode_mask`.
+    distinct outcome is decoded once across all calls, through one cache
+    keyed by the packed outcome; the lanes are converted to and from one row
+    per trial only there.  The outcomes new to the cache are first decoded as
+    one block by DD (COMP for p > 1/2); a trial whose estimate reproduces its
+    outcome keeps it, since `map_mask` returns exactly that set there: DD's
+    set is its forced set and leaves no positive test to cover, and for
+    p > 1/2 it returns the COMP survivors.  Only the other trials go through
+    `decode_mask`.
     """
     _check_map_budget(design.n)
-    channel = _or_channel(design)
     shortcut_block = dd_block if prior.p <= 0.5 else comp_block
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
 
-    def decode(positive: np.ndarray) -> np.ndarray:
+    def decode(positive: np.ndarray, s: int) -> np.ndarray:
+        trials = from_lanes(positive, s)
         if design.T:
-            packed = np.packbits(positive, axis=1, bitorder="little")
+            packed = np.packbits(trials, axis=1, bitorder="little")
         else:
-            packed = np.zeros((len(positive), 1), dtype=np.uint8)
+            packed = np.zeros((s, 1), dtype=np.uint8)
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         keys = keys.tolist()
         new = [k for k, key in enumerate(keys) if key not in cache]
         if new:
-            outcomes = positive[first[new]]
+            outcomes = to_lanes(trials[first[new]])
             estimates = shortcut_block(design, outcomes)
-            explained = (channel(estimates) == outcomes).all(axis=1).tolist()
-            for k, ok, row in zip(new, explained, np.packbits(estimates, axis=1, bitorder="little")):
+            explained = ~_differs(_or_channel(design, estimates), outcomes, len(new))
+            estimates = np.packbits(from_lanes(estimates, len(new)), axis=1, bitorder="little")
+            for k, ok, row in zip(new, explained.tolist(), estimates):
                 if not ok:
                     sig = int.from_bytes(keys[k], "little")
                     row = decode_mask(design, sig, DecoderId.MAP, prior).to_bytes(nbytes, "little")
                 cache[keys[k]] = bytes(row)
         table = np.frombuffer(b"".join(cache[key] for key in keys), dtype=np.uint8)
         table = table.reshape(len(keys), nbytes)
-        return np.unpackbits(table, axis=1, count=design.n, bitorder="little").view(bool)[inverse]
+        estimates = np.unpackbits(table, axis=1, count=design.n, bitorder="little").view(bool)
+        return to_lanes(estimates[inverse])
 
     return decode
 
 
 def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
-    """Return ``decode(positive)``: the decoder on a block of outcomes, s x T to s x n.
+    """Return ``decode(positive, s)``: the decoder on a block of s outcomes in lanes, T x W to n x W.
 
-    COMP and DD decode by matrix products (`comp_block`, `dd_block`), MAP
-    through its outcome cache (`_map_block`).
+    COMP and DD decode by word operations over the incidence lists
+    (`comp_block`, `dd_block`), MAP through its outcome cache (`_map_block`).
     """
     if decoder is DecoderId.MAP:
         return _map_block(design, prior)
-    return partial(comp_block if decoder is DecoderId.COMP else dd_block, design)
+    block = comp_block if decoder is DecoderId.COMP else dd_block
+    return lambda positive, s: block(design, positive)
 
 
 def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
-    """Return ``wrong(sets)``, which flags the defective sets the decoder gets wrong.
+    """Return ``wrong(sets, s)``, which flags the defective sets the decoder gets wrong.
 
-    ``sets`` is a boolean block, one row per defective set.  The block goes
-    through the OR channel as one matrix product, and the decoder estimates
-    the whole block of outcomes at once (`_block_decoder`).
+    ``sets`` holds a block of s defective sets in lanes (n x W).  The block
+    goes through the OR channel, and the decoder estimates the whole block of
+    outcomes at once (`_block_decoder`).
     """
     decode_block = _block_decoder(design, prior, decoder)
-    channel = _or_channel(design)
-    return lambda sets: (decode_block(channel(sets)) != sets).any(axis=1)
+    return lambda sets, s: _differs(decode_block(_or_channel(design, sets), s), sets, s)
 
 
 def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
@@ -194,17 +202,20 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
     """
     n, T = design.n, design.T
     decode_block = _block_decoder(design, prior, decoder)
-    channel = _or_channel(design)
     success = np.zeros(n + 1, dtype=np.int64)
     for ys in subset_blocks(T):
-        positive = _bit_rows(ys, T)
+        s = len(ys)
+        positive = to_lanes(_bit_rows(ys, T))
         estimates = comp_block(design, positive)
-        right = (channel(estimates) == positive).all(axis=1)
+        right = ~_differs(_or_channel(design, estimates), positive, s)
         if decoder is not DecoderId.COMP:
-            positive = positive[right]
-            estimates = decode_block(positive)
-            right = (channel(estimates) == positive).all(axis=1)
-        success += np.bincount(np.count_nonzero(estimates[right], axis=1), minlength=n + 1)
+            ys = ys[right]
+            s = len(ys)
+            positive = to_lanes(_bit_rows(ys, T))
+            estimates = decode_block(positive, s)
+            right = ~_differs(_or_channel(design, estimates), positive, s)
+        sizes = np.count_nonzero(from_lanes(estimates, s), axis=1)
+        success += np.bincount(sizes[right], minlength=n + 1)
     return success.tolist()
 
 
@@ -226,15 +237,16 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
         success = _success_counts(design, prior, decoder)
         return prior.probability([math.comb(n, j) - s for j, s in enumerate(success)])
     wrong = _error_tally(design, prior, decoder)
-    return prior.probability(count_by_size(n, lambda ks: wrong(_bit_rows(ks, n))))
+    return prior.probability(count_by_size(n, lambda ks: wrong(to_lanes(_bit_rows(ks, n)), len(ks))))
 
 
 def _sampler(design: TestDesign, p: float):
     """Return ``sample(rng, size)``, which yields ``size`` sampled defective sets in chunks.
 
-    Each chunk is a boolean block of at most `BLOCK_TRIALS` rows and at most
-    `CHUNK_ELEMENTS` values over max(n, T) columns; a design with no items and
-    no tests gets whole blocks of empty rows.  Raises `BudgetExceededError` at
+    Each chunk is ``(sets, s)``: s defective sets in lanes (n x W), at most
+    `BLOCK_TRIALS` of them and at most `CHUNK_ELEMENTS` values over max(n, T)
+    columns; a design with no items and no tests gets whole blocks of empty
+    sets.  Raises `BudgetExceededError` at
     once, before anything is sampled, when a single row is over the budget.
     """
     width = max(design.n, design.T)
@@ -247,7 +259,8 @@ def _sampler(design: TestDesign, p: float):
 
     def sample(rng: np.random.Generator, size: int):
         for start in range(0, size, rows):
-            yield rng.random((min(rows, size - start), design.n)) < p
+            s = min(rows, size - start)
+            yield to_lanes(rng.random((s, design.n)) < p), s
 
     return sample
 
@@ -279,8 +292,8 @@ def monte_carlo_error(
         rng = np.random.default_rng([master_seed, w])
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            for sets in sample(rng, size):
-                total += int(np.count_nonzero(wrong(sets)))
+            for sets, s in sample(rng, size):
+                total += int(np.count_nonzero(wrong(sets, s)))
     return _sim_result(total, trials, master_seed, decoder)
 
 
@@ -290,20 +303,22 @@ def disguise_frequency(
     """Monte Carlo frequency of item i being totally disguised.
 
     Each trial samples the other items' defectivity and checks that every
-    test containing i holds some defective besides i, by one matrix product
-    with those tests' rows, item i cleared; a test holding only i is then an
-    all-zero row that no trial disguises.  Returned with ``decoder=None``;
-    ``errors`` counts the disguise hits.
+    test containing i holds some defective besides i: item i's lane is
+    cleared, each of its tests ORs its items' lanes, and the results are
+    ANDed; a test holding only i then disguises i in no trial.  Returned with
+    ``decoder=None``; ``errors`` counts the disguise hits.
     """
     _check_run(trials, seed)
     if not 0 <= i < design.n:
         raise ValueError(f"item index {i} outside [0, {design.n})")
     sample = _sampler(design, prior.p)
-    own_tests = design.matrix[design.matrix[:, i] == 1]
-    own_tests[:, i] = 0
+    test_items, item_tests = design.incidence
+    own_tests = test_items[item_tests[i][item_tests[i] < design.T]]
     hits = 0
-    for sets in sample(np.random.default_rng(seed), trials):
-        hits += int(np.count_nonzero(((sets @ own_tests.T) > 0).all(axis=1)))
+    for sets, s in sample(np.random.default_rng(seed), trials):
+        sets[i] = 0
+        met = fold_lanes(sets, own_tests, np.bitwise_or)
+        hits += int(np.count_nonzero(from_lanes(np.bitwise_and.reduce(met, axis=0, keepdims=True), s)))
     return _sim_result(hits, trials, seed, None)
 
 

@@ -20,6 +20,7 @@ from pooltest import (
 )
 
 from pooltest.decode import comp_block, comp_mask, dd_block, dd_mask, map_mask
+from pooltest.model import from_lanes, to_lanes
 
 import helpers
 
@@ -147,18 +148,28 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
 
 
 class TestBlockKernels:
-    """`comp_block`/`dd_block` agree row by row with `comp_mask`/`dd_mask`."""
+    """`comp_block`/`dd_block` agree trial by trial with `comp_mask`/`dd_mask`."""
 
     @staticmethod
     def _check(design, signatures):
-        positive = np.array(
+        s = len(signatures)
+        positive = to_lanes(np.array(
             [[bool(sig >> t & 1) for t in range(design.T)] for sig in signatures], dtype=bool
-        ).reshape(len(signatures), design.T)
+        ).reshape(s, design.T))
         for block, single in ((comp_block, comp_mask), (dd_block, dd_mask)):
             estimates = block(design, positive)
-            assert estimates.dtype == bool and estimates.shape == (len(signatures), design.n)
-            for row, sig in zip(estimates, signatures):
+            assert estimates.dtype == np.uint64 and estimates.shape == (design.n, -(-s // 64))
+            for row, sig in zip(from_lanes(estimates, s), signatures):
                 assert helpers.mask_of_row(row) == single(design, sig)
+
+    def test_block_sizes_at_word_edges(self):
+        # Padding bits of the last word never reach a trial: items in no test
+        # make COMP's lanes all ones there.
+        rng = np.random.default_rng(54)
+        d = helpers.random_messy_design(rng, 9, 6)
+        d = TestDesign(n=11, row_masks=d.row_masks + (0,))  # items 9, 10 in no test
+        for s in (1, 63, 64, 65):
+            self._check(d, [int(sig) for sig in rng.integers(0, 1 << d.T, size=s)])
 
     def test_every_outcome_of_small_messy_designs(self):
         rng = np.random.default_rng(51)

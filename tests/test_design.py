@@ -18,7 +18,7 @@ from pooltest import (
     reduce_design,
     to_dict,
 )
-from pooltest.design import DESIGN_ENTRY_BUDGET, DESIGN_ITEM_BUDGET
+from pooltest.design import DESIGN_ENTRY_BUDGET, DESIGN_ITEM_BUDGET, LINE_CHAR_BUDGET
 
 import helpers
 
@@ -128,30 +128,39 @@ class TestRowWeights:
         assert new_design([{0, 1}, set(), {0, 1, 2}], 3).weights == (2, 0, 3)
 
 
-class TestMatrix:
+class TestIncidence:
     def test_entries_match_row_masks(self):
         rng = np.random.default_rng(12)
-        for n, T in ((1, 0), (5, 3), (9, 6), (17, 4), (40, 7)):
-            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
-            X = d.matrix
-            assert X.dtype == np.float32 and X.shape == (T, n)
-            for t in range(T):
-                for i in range(n):
-                    assert X[t, i] == (1.0 if d.row_masks[t] >> i & 1 else 0.0)
+        designs = [TestDesign(n=1, row_masks=()), new_design([{0, 2}, set(), {2}], 4)]  # item 3 in none
+        for n, T in ((5, 3), (9, 6), (17, 4), (40, 7)):
+            designs.append(helpers.random_messy_design(rng, n, T))
+        for d in designs:
+            test_items, item_tests = d.incidence
+            assert test_items.dtype == item_tests.dtype == np.int32
+            assert test_items.shape == (d.T, max([1, *d.weights]))
+            for t in range(d.T):
+                assert test_items[t].tolist() == sorted(
+                    i for i in range(d.n) if d.row_masks[t] >> i & 1
+                ) + [d.n] * (test_items.shape[1] - d.weights[t])
+            tests_of = [[t for t in range(d.T) if d.row_masks[t] >> i & 1] for i in range(d.n)]
+            assert item_tests.shape == (d.n, max([1, *map(len, tests_of)]))
+            for i in range(d.n):
+                assert item_tests[i].tolist() == tests_of[i] + [d.T] * (item_tests.shape[1] - len(tests_of[i]))
 
     def test_built_once_and_read_only(self):
         d = new_design([{0, 2}, {1}], 3)
-        assert d.matrix is d.matrix
-        with pytest.raises(ValueError):
-            d.matrix[0, 0] = 0.0
+        assert d.incidence is d.incidence
+        for table in d.incidence:
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
     def test_not_part_of_value(self):
         d = new_design([{0, 2}, {1}], 3)
         fresh = new_design([{0, 2}, {1}], 3)
-        d.matrix
+        d.incidence
         assert d == fresh and hash(d) == hash(fresh)
         assert repr(d) == repr(fresh) == "TestDesign(n=3, row_masks=(5, 2))"
-        assert to_dict(d) == to_dict(fresh) and "matrix" not in to_dict(d)
+        assert to_dict(d) == to_dict(fresh) and "incidence" not in to_dict(d)
 
 
 class TestReduce:
@@ -343,3 +352,43 @@ class TestSizeBudget:
         with pytest.raises(BudgetExceededError, match="size budget"):
             TestDesign(n=64, row_masks=rows)
         assert TestDesign(n=64, row_masks=rows[1:]).T == DESIGN_ENTRY_BUDGET // 64
+
+
+class _GuardedStream:
+    """A text stream over ``lines`` that fails if asked for more than ``readable``
+    of them, or for more than `LINE_CHAR_BUDGET` characters at once."""
+
+    def __init__(self, lines, readable):
+        self.lines, self.readable = list(lines), readable
+        self.line = self.pos = 0
+
+    def readline(self, limit):
+        assert 0 < limit <= LINE_CHAR_BUDGET
+        if self.line == len(self.lines):
+            return ""
+        assert self.line < self.readable, f"read line {self.line} past the allowed {self.readable}"
+        text = self.lines[self.line]
+        piece = text[self.pos : self.pos + limit]
+        self.pos += len(piece)
+        if self.pos == len(text):
+            self.line, self.pos = self.line + 1, 0
+        return piece
+
+
+class TestStreamedParse:
+    def test_header_checked_before_any_row_is_read(self):
+        long_comment = "# " + "x" * (3 * LINE_CHAR_BUDGET) + "\n"  # skipped in bounded pieces
+        for header in ("1 200000\n", f"{DESIGN_ENTRY_BUDGET // 64 + 1} 64\n"):
+            stream = _GuardedStream([long_comment, "\n", header, "poison\n"], readable=3)
+            with pytest.raises(BudgetExceededError, match="size budget"):
+                parse_design(stream)
+
+    def test_first_bad_row_fails_at_once(self):
+        long_row = "0" * (2 * LINE_CHAR_BUDGET) + "\n"  # never read whole
+        for bad in ("1x0\n", "11\n", long_row):
+            lines = ["3 3\n", "110\n", bad]
+            with pytest.raises(DesignFormatError):
+                parse_design(_GuardedStream(lines + ["poison\n"], readable=len(lines)))
+        lines = ["1 2\n", "10\n", "01\n"]  # one row too many
+        with pytest.raises(DesignFormatError, match="expected 1 test rows"):
+            parse_design(_GuardedStream(lines + ["poison\n"], readable=len(lines)))

@@ -13,7 +13,7 @@ from pooltest import (
     outcomes,
     sample_defective_set,
 )
-from pooltest.model import BLOCK_TRIALS, count_by_size, subset_blocks
+from pooltest.model import BLOCK_TRIALS, count_by_size, from_lanes, subset_blocks, to_lanes
 
 import helpers
 
@@ -152,3 +152,16 @@ class TestSubsetWalk:
     def test_counts_by_size(self):
         assert count_by_size(5, lambda ks: np.ones(ks.size, dtype=bool)) == (1, 5, 10, 10, 5, 1)
         assert count_by_size(4, lambda ks: ks & 1 == 1) == (0, 1, 3, 3, 1)
+
+
+class TestLanes:
+    def test_round_trip_at_word_edges(self):
+        rng = np.random.default_rng(50)
+        for s in (1, 63, 64, 65, 130):
+            for k in (0, 1, 7):
+                rows = rng.random((s, k)) < 0.5
+                lanes = to_lanes(rows)
+                assert lanes.dtype == np.uint64 and lanes.shape == (k, -(-s // 64))
+                assert (from_lanes(lanes, s) == rows).all()
+                for r in range(k):  # bit b of word w is trial 64w + b; padding bits are 0
+                    assert int.from_bytes(lanes[r].tobytes(), "little") == helpers.mask_of_row(rows[:, r])

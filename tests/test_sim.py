@@ -37,6 +37,7 @@ from pooltest import (
 from pooltest import sim
 from pooltest.decode import dd_mask, decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
+from pooltest.model import from_lanes, to_lanes
 
 import helpers
 
@@ -137,20 +138,21 @@ class TestExactAverageError:
 
     def test_walk_chosen_by_shape(self, monkeypatch):
         # With T < n the front end and the block decoder see at most the 2^T
-        # outcomes; with T >= n the block decoder sees all 2^n sets.
+        # outcomes; with T >= n the block decoder sees all 2^n sets.  The
+        # front end gets lanes of 64 trials a word, which 2^6 outcomes fill.
         front, decoded = [], []
         comp, choose = sim.comp_block, sim._block_decoder
 
         def recording_comp(design, positive):
-            front.append(len(positive))
+            front.append(64 * positive.shape[1])
             return comp(design, positive)
 
         def recording_choose(*args):
             decode_block = choose(*args)
 
-            def recorded(positive):
-                decoded.append(len(positive))
-                return decode_block(positive)
+            def recorded(positive, s):
+                decoded.append(s)
+                return decode_block(positive, s)
 
             return recorded
 
@@ -221,9 +223,9 @@ class TestMapBlock:
                 positive = np.array([[sig >> t & 1 for t in range(d.T)] for sig in sigs], dtype=bool)
                 decode = sim._map_block(d, Prior(p))
                 for rows in (slice(0, 40), slice(20, 60)):  # the second call repeats 20 rows
-                    got = decode(positive[rows])
-                    assert got.shape == (len(sigs[rows]), d.n) and got.dtype == bool
-                    for row, sig in zip(got, sigs[rows]):
+                    got = decode(to_lanes(positive[rows]), 40)
+                    assert got.shape == (d.n, 1) and got.dtype == np.uint64
+                    for row, sig in zip(from_lanes(got, 40), sigs[rows]):
                         expected = decode_mask(d, sig, DecoderId.MAP, Prior(p))
                         assert helpers.mask_of_row(row) == expected
 
@@ -262,9 +264,13 @@ class TestMonteCarlo:
 
     def test_matches_per_row_loop(self):
         rng = np.random.default_rng(46)
-        for case in range(6):
+        designs = []
+        for _ in range(6):
             n, T = int(rng.integers(1, 13)), int(rng.integers(0, 9))
-            d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
+            designs.append(helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=()))
+        # Skewed: one test holds every item, beside weight-1 and empty tests.
+        designs.append(new_design([range(12), {3}, set(), {0, 5}, {11}, set()], 12))
+        for case, d in enumerate(designs):
             for decoder in DecoderId:
                 for trials, workers in ((5_000, 1), (13_000, 3)):
                     got = monte_carlo_error(d, Prior(0.3), decoder, trials, case, workers)
@@ -292,9 +298,9 @@ class TestMonteCarlo:
         def recording(*args):
             wrong = original(*args)
 
-            def recorded(sets):
-                chunks.append(len(sets))
-                return wrong(sets)
+            def recorded(sets, s):
+                chunks.append(s)
+                return wrong(sets, s)
 
             return recorded
 
