@@ -179,10 +179,11 @@ def lane_columns(lanes: np.ndarray, table: np.ndarray, fill) -> Iterator[np.ndar
 
 
 def fold_lanes(lanes: np.ndarray, table: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """Row r folds by ``op`` (``np.bitwise_or`` or ``np.bitwise_and``) the rows of
-    ``lanes`` listed in row r of the padded index ``table``, which has at least
-    one column; a row of padding alone gives op's identity (all zeros for OR,
-    all ones for AND)."""
+    """Row r folds by ``op`` (``np.bitwise_or``, ``np.bitwise_and`` or ``np.add``)
+    the rows of ``lanes`` listed in row r of the padded index ``table``, which
+    has at least one column; a row of padding alone gives op's identity (all
+    zeros for OR and add, all ones for AND).  ``lanes`` may also hold one
+    boolean or integer column per trial."""
     columns = lane_columns(lanes, table, np.array(op.identity).astype(lanes.dtype))
     out = next(columns)
     for rows in columns:

@@ -115,19 +115,39 @@ def _differs(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return from_lanes(np.bitwise_or.reduce(a ^ b, axis=0, keepdims=True), s)[:, 0]
 
 
+def _lowest_completions(design: TestDesign, outcomes: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
+    """For each of m outcomes, the lowest item that alone covers its uncovered tests, or -1.
+
+    ``outcomes`` and ``uncovered`` hold, as boolean rows (m x T), each outcome
+    and its positive tests that hold no item of its estimate.  An item
+    qualifies when it is a COMP survivor and lies in every uncovered test.
+    Each item's tests are gathered through ``incidence.item_tests`` with one
+    padding test, positive and not uncovered: ANDed, they give the survivors,
+    and summed, the uncovered tests the item lies in, which must number all
+    of them.  Gathering one column of the table at a time keeps memory at
+    n x m values.
+    """
+    item_tests = design.incidence.item_tests
+    survivor = fold_lanes(outcomes.T, item_tests, np.bitwise_and)
+    met = fold_lanes(uncovered.T.astype(np.int32), item_tests, np.add)
+    complete = survivor & (met == np.count_nonzero(uncovered, axis=1))
+    return np.where(complete.any(axis=0), complete.argmax(axis=0), -1)
+
+
 def _map_block(design: TestDesign, prior: Prior):
     """Return ``decode(positive, s)``: MAP on a block of s outcomes held in lanes (T x W).
 
     Like `comp_block` and `dd_block`, it returns the estimates' lanes (n x W).
-    Raises `BudgetExceededError` at once when n is over the MAP budget.  Each
-    distinct outcome is decoded once across all calls, through one cache
-    keyed by the packed outcome; the lanes are converted to and from one row
-    per trial only there.  The outcomes new to the cache are first decoded as
-    one block by DD (COMP for p > 1/2); a trial whose estimate reproduces its
-    outcome keeps it, since `map_mask` returns exactly that set there: DD's
-    set is its forced set and leaves no positive test to cover, and for
-    p > 1/2 it returns the COMP survivors.  Only the other trials go through
-    `decode_mask`.
+    Raises `BudgetExceededError` at once when n is over the MAP budget.  The
+    block is first decoded in lanes by DD (COMP for p > 1/2).  A trial whose
+    estimate reproduces its outcome keeps it, since `map_mask` returns exactly
+    that set there: DD's set is its forced set and leaves no positive test to
+    cover, and for p > 1/2 it returns the COMP survivors.  Only the other
+    trials leave the lanes, and each of their distinct outcomes is decoded
+    once across all calls, through one cache keyed by the packed outcome.
+    For p <= 1/2 an outcome new to the cache that one item completes takes
+    DD's set and the lowest such item (`_lowest_completions`), as `map_mask`
+    does; the rest go through `decode_mask`.
     """
     _check_map_budget(design.n)
     shortcut_block = dd_block if prior.p <= 0.5 else comp_block
@@ -135,29 +155,38 @@ def _map_block(design: TestDesign, prior: Prior):
     cache: dict[bytes, bytes] = {}
 
     def decode(positive: np.ndarray, s: int) -> np.ndarray:
-        trials = from_lanes(positive, s)
-        if design.T:
-            packed = np.packbits(trials, axis=1, bitorder="little")
-        else:
-            packed = np.zeros((s, 1), dtype=np.uint8)
+        estimates = shortcut_block(design, positive)
+        images = _or_channel(design, estimates)
+        flagged = np.flatnonzero(_differs(images, positive, s))
+        if not len(flagged):
+            return estimates
+        trials = from_lanes(positive, s)[flagged]
+        packed = np.packbits(trials, axis=1, bitorder="little")
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         keys = keys.tolist()
         new = [k for k, key in enumerate(keys) if key not in cache]
+        decoded = from_lanes(estimates, s)
         if new:
-            outcomes = to_lanes(trials[first[new]])
-            estimates = shortcut_block(design, outcomes)
-            explained = ~_differs(_or_channel(design, estimates), outcomes, len(new))
-            estimates = np.packbits(from_lanes(estimates, len(new)), axis=1, bitorder="little")
-            for k, ok, row in zip(new, explained.tolist(), estimates):
-                if not ok:
+            outcomes, pick = trials[first[new]], flagged[first[new]]
+            found = decoded[pick]
+            items = np.full(len(new), -1)
+            if prior.p <= 0.5 and design.n:  # with no items, argmax has nothing to pick
+                uncovered = outcomes & ~from_lanes(images, s)[pick]
+                items = _lowest_completions(design, outcomes, uncovered)
+                done = np.flatnonzero(items >= 0)
+                found[done, items[done]] = True
+            found = np.packbits(found, axis=1, bitorder="little")
+            for k, item, row in zip(new, items.tolist(), found):
+                if item < 0:
                     sig = int.from_bytes(keys[k], "little")
                     row = decode_mask(design, sig, DecoderId.MAP, prior).to_bytes(nbytes, "little")
                 cache[keys[k]] = bytes(row)
         table = np.frombuffer(b"".join(cache[key] for key in keys), dtype=np.uint8)
         table = table.reshape(len(keys), nbytes)
-        estimates = np.unpackbits(table, axis=1, count=design.n, bitorder="little").view(bool)
-        return to_lanes(estimates[inverse])
+        map_rows = np.unpackbits(table, axis=1, count=design.n, bitorder="little").view(bool)
+        decoded[flagged] = map_rows[inverse]
+        return to_lanes(decoded)
 
     return decode
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from pooltest import Prior, TestDesign, new_design
-from pooltest.decode import decode_mask
+from pooltest.decode import decode_mask, dd_mask
 from pooltest.sim import BLOCK_TRIALS
 
 
@@ -97,6 +97,25 @@ def map_reference(design: TestDesign, sig: int, p: float) -> int | None:
         if consistent:
             return min(consistent)
     return None
+
+
+def map_search_needed(design: TestDesign, sig: int) -> bool:
+    """Whether a MAP block decoder for p <= 1/2 must search this outcome.
+
+    It must when DD's estimate leaves some positive test uncovered and no item
+    outside every negative test lies in all the uncovered ones, so that no
+    single item completes DD's estimate.
+    """
+    estimate = dd_mask(design, sig)
+    common = (1 << design.n) - 1
+    uncovered = False
+    for t, mask in enumerate(design.row_masks):
+        if not sig >> t & 1:
+            common &= ~mask
+        elif not mask & estimate:
+            common &= mask
+            uncovered = True
+    return uncovered and not common
 
 
 def exact_error_reference(design: TestDesign, p: float, decoder) -> float:

@@ -1,5 +1,6 @@
 """Tests for exact/Monte Carlo error evaluation and floor verification."""
 
+import inspect
 import json
 import math
 import threading
@@ -14,6 +15,7 @@ from pooltest import (
     BudgetExceededError,
     DecoderId,
     DefectiveSet,
+    InconsistentOutcomeError,
     Prior,
     SimResult,
     TestDesign,
@@ -35,7 +37,7 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
-from pooltest.decode import dd_mask, decode_mask
+from pooltest.decode import comp_mask, dd_mask, decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 from pooltest.model import from_lanes, to_lanes
 
@@ -160,12 +162,15 @@ class TestExactAverageError:
         monkeypatch.setattr(sim, "_block_decoder", recording_choose)
         few = new_design([{0, 1, 2}, {2, 3}, {4, 5, 6}, {6, 7, 8}, {8, 9}, {1, 9}], 10)
         many = new_design([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}], 5)
+        images = {helpers.outcome_signature(few, k) for k in range(1 << few.n)}
+        assert len(images) < 1 << few.T
         for decoder in DecoderId:
             front.clear()
             decoded.clear()
             exact_average_error(few, Prior(0.3), decoder)
             assert front == [1 << few.T]
-            assert sum(decoded) <= 1 << few.T and bool(decoded) == (decoder is not DecoderId.COMP)
+            # DD and MAP decode exactly the outcomes some set produces.
+            assert sum(decoded) == (0 if decoder is DecoderId.COMP else len(images))
             decoded.clear()
             exact_average_error(many, Prior(0.3), decoder)
             assert decoded == [1 << many.n]
@@ -173,11 +178,13 @@ class TestExactAverageError:
     def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
         # MAP searches go through the module attribute sim.decode_mask, and
         # only for outcomes some set produces that DD's estimate does not
-        # explain; for p > 1/2 COMP's estimate explains every such outcome.
+        # explain and that no single item completes; for p > 1/2 COMP's
+        # estimate explains every such outcome.
         d = new_design([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {6, 7}, {7, 8}], 9)
         images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
         unexplained = {s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s}
-        assert unexplained and len(images) < 1 << d.T
+        searches = {s for s in images if helpers.map_search_needed(d, s)}
+        assert searches < unexplained and searches and len(images) < 1 << d.T
         original = sim.decode_mask
         searched = []
 
@@ -191,7 +198,7 @@ class TestExactAverageError:
             assert exact_average_error(d, Prior(p), DecoderId.MAP) == helpers.exact_error_reference(
                 d, p, DecoderId.MAP
             )
-            assert sorted(searched) == sorted(unexplained)
+            assert sorted(searched) == sorted(searches)
         for p in (0.6, 0.9):
             searched.clear()
             exact_average_error(d, Prior(p), DecoderId.MAP)
@@ -233,6 +240,93 @@ class TestMapBlock:
         for p in (0.1, 0.7):
             with pytest.raises(BudgetExceededError):
                 sim._map_block(gen_individual(31), Prior(p))
+
+    @staticmethod
+    def _decode_outcomes(decode, design, sigs):
+        """Run one block of outcome signatures through ``decode``; return the estimate masks."""
+        positive = np.array([[sig >> t & 1 for t in range(design.T)] for sig in sigs], dtype=bool)
+        got = decode(to_lanes(positive), len(sigs))
+        return [helpers.mask_of_row(row) for row in from_lanes(got, len(sigs))]
+
+    @staticmethod
+    def _record_searches(monkeypatch):
+        searched = []
+        original = sim.decode_mask
+
+        def recording(design, sig, *args):
+            searched.append(sig)
+            return original(design, sig, *args)
+
+        monkeypatch.setattr(sim, "decode_mask", recording)
+        return searched
+
+    def test_explained_block_neither_searches_nor_caches(self, monkeypatch):
+        # When DD's estimate explains every trial the block returns it as is.
+        d = gen_doubly_regular(30, 2, 3, seed=5)
+        rng = np.random.default_rng(49)
+        sets = rng.random((400, d.n)) < 0.05
+        sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
+        sigs = [sig for sig in sigs if helpers.outcome_signature(d, dd_mask(d, sig)) == sig][:150]
+        assert len(set(sigs)) > 20
+        searched = self._record_searches(monkeypatch)
+        for p in (0.05, 0.5, 0.7):
+            decode = sim._map_block(d, Prior(p))
+            got = self._decode_outcomes(decode, d, sigs)
+            assert got == [helpers.map_reference(d, sig, p) for sig in sigs]
+            assert searched == [] and inspect.getclosurevars(decode).nonlocals["cache"] == {}
+
+    def test_one_item_completions_match_reference(self, monkeypatch):
+        # Every outcome that DD leaves unexplained and one item completes is
+        # decoded without a search, to the reference's set; p = 0.5 takes the
+        # DD side, where a COMP shortcut would keep every survivor.
+        rng = np.random.default_rng(50)
+        designs = [gen_doubly_regular(12, 2, 3, seed=2)]
+        designs += [helpers.random_messy_design(rng, int(rng.integers(3, 10)), 6) for _ in range(30)]
+        searched = self._record_searches(monkeypatch)
+        completions = 0
+        for d in designs:
+            images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
+            unexplained = [s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s]
+            one_item = [s for s in unexplained if not helpers.map_search_needed(d, s)]
+            completions += len(one_item)
+            for p in (0.1, 0.5):
+                searched.clear()
+                got = self._decode_outcomes(sim._map_block(d, Prior(p)), d, images)
+                expected = [helpers.map_reference(d, sig, p) for sig in images]
+                assert got == expected
+                assert sorted(searched) == [s for s in unexplained if s not in one_item]
+            if one_item:
+                assert any(comp_mask(d, s) != helpers.map_reference(d, s, 0.5) for s in one_item)
+        assert completions > 100
+
+    def test_inconsistent_outcome_reaches_the_search(self):
+        # No item completes an outcome no set produces, so decode_mask raises.
+        cases = [
+            (TestDesign(n=0, row_masks=(0,)), [1]),
+            (new_design([{0, 1}, {0}, {1}, {2}], 3), [0b1000, 0b1001]),  # test 0 keeps no survivor
+        ]
+        for d, sigs in cases:
+            for p in (0.1, 0.5, 0.7):
+                with pytest.raises(InconsistentOutcomeError):
+                    self._decode_outcomes(sim._map_block(d, Prior(p)), d, sigs)
+
+    def test_keys_over_64_tests(self, monkeypatch):
+        # 64 copies of one test, then tests that alone tell the outcomes apart:
+        # keys that kept only their first word would merge those outcomes.
+        rows = [{0, 1, 2, 3}] * 64 + [{0, 4}, {1, 4}, {2, 5}, {3, 5}, {4, 6}, {5, 7}, {6, 7}]
+        d = new_design(rows, 8)
+        images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
+        searched = self._record_searches(monkeypatch)
+        for p in (0.1, 0.5, 0.7):
+            searched.clear()
+            decode = sim._map_block(d, Prior(p))
+            for _ in range(2):  # the second call is served from the cache
+                got = self._decode_outcomes(decode, d, images)
+                assert got == [helpers.map_reference(d, sig, p) for sig in images]
+            assert len(searched) == len(set(searched))
+        unexplained = [s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s]
+        high = {s >> 64 for s in unexplained if s & (1 << 64) - 1 == (1 << 64) - 1}
+        assert len(high) > 1  # outcomes agree on the first 64 tests but not after
 
 
 class TestMonteCarlo:
@@ -338,8 +432,9 @@ class TestMonteCarlo:
 
     def test_each_outcome_decoded_once_across_blocks(self, monkeypatch):
         # No outcome is decoded twice, and only the distinct outcomes that DD's
-        # estimate leaves unexplained reach decode_mask; for p > 1/2 COMP's
-        # estimate explains every outcome, so decode_mask is never called.
+        # estimate leaves unexplained and no single item completes reach
+        # decode_mask; for p > 1/2 COMP's estimate explains every outcome, so
+        # decode_mask is never called.
         d = gen_doubly_regular(30, 2, 3, seed=5)
         trials = 4 * sim.BLOCK_TRIALS
         original = sim.decode_mask
@@ -356,10 +451,12 @@ class TestMonteCarlo:
         for p in (0.1, 0.7):
             sets = helpers.monte_carlo_sets_reference(d, p, trials, 3, 2)
             distinct = {signature(k) for k in sets}
-            unexplained = [s for s in distinct if p <= 0.5 and signature(dd_mask(d, s)) != s]
+            unexplained = {s for s in distinct if p <= 0.5 and signature(dd_mask(d, s)) != s}
+            searches = {s for s in unexplained if helpers.map_search_needed(d, s)}
+            assert searches < unexplained or p > 0.5
             decoded.clear()
             monte_carlo_error(d, Prior(p), DecoderId.MAP, trials, 3, workers=2)
-            assert sorted(decoded) == sorted(unexplained)
+            assert sorted(decoded) == sorted(searches)
             assert len(distinct) < trials
             assert bool(decoded) == (p <= 0.5)
 
