@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import enum
-import functools
-import operator
 
 import numpy as np
 
@@ -137,12 +135,11 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
     answer.  Otherwise prior weight is nonincreasing in size, so MAP is the
     smallest satisfying set: the items forced by a positive test with a single
     survivor, plus a minimum hitting set of the positive tests they leave
-    uncovered, ties broken toward the smallest bitmask.  When some survivor
-    lies in every uncovered test, the lowest such item is that hitting set.
-    Otherwise the minimum size k is found by iterative deepening from the
-    packing bound (`_hitting_set`); then the items of a size-k witness are
-    decided from the highest down, dropping each one whenever a size-k hitting
-    set avoids it and every higher dropped item.
+    uncovered, ties broken toward the smallest bitmask.  The minimum size k is
+    found by iterative deepening from the packing bound (`_hitting_set`); then
+    the items of a size-k witness are decided from the highest down, dropping
+    each one whenever a size-k hitting set avoids it and every higher dropped
+    item.
     """
     _check_map_budget(design.n)
     pd, tests = _survivors(design, y_sig)
@@ -155,9 +152,6 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
 
     forced = _sole_survivors(tests)
     tests = sorted((t for t in tests if not t & forced), key=int.bit_count)
-    common = functools.reduce(operator.and_, tests, pd)
-    if tests and common:  # one item completes the forced set; the lowest has the smallest mask
-        return forced | (common & -common)
 
     size = _packing_bound(tests)
     while (witness := _hitting_set(tests, size)) is None:

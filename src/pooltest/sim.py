@@ -146,8 +146,9 @@ def _map_block(design: TestDesign, prior: Prior):
     trials leave the lanes, and each of their distinct outcomes is decoded
     once across all calls, through one cache keyed by the packed outcome.
     For p <= 1/2 an outcome new to the cache that one item completes takes
-    DD's set and the lowest such item (`_lowest_completions`), as `map_mask`
-    does; the rest go through `decode_mask`.
+    DD's set and the lowest such item (`_lowest_completions`): that is the
+    smallest hitting set with the smallest bitmask, which `map_mask` returns.
+    The rest go through `decode_mask`.
     """
     _check_map_budget(design.n)
     shortcut_block = dd_block if prior.p <= 0.5 else comp_block

@@ -1,6 +1,5 @@
 """Tests for exact/Monte Carlo error evaluation and floor verification."""
 
-import inspect
 import json
 import math
 import threading
@@ -139,9 +138,10 @@ class TestExactAverageError:
                     assert got == helpers.exact_error_reference(d, p, decoder)
 
     def test_walk_chosen_by_shape(self, monkeypatch):
-        # With T < n the front end and the block decoder see at most the 2^T
-        # outcomes; with T >= n the block decoder sees all 2^n sets.  The
-        # front end gets lanes of 64 trials a word, which 2^6 outcomes fill.
+        # With T < n the front end gets all 2^T outcomes, in lanes of 64
+        # trials a word, which 2^6 outcomes fill; DD and MAP decode exactly
+        # the outcomes some set produces, and COMP decodes none.  With T >= n
+        # the block decoder sees all 2^n sets.
         front, decoded = [], []
         comp, choose = sim.comp_block, sim._block_decoder
 
@@ -260,20 +260,29 @@ class TestMapBlock:
         monkeypatch.setattr(sim, "decode_mask", recording)
         return searched
 
-    def test_explained_block_neither_searches_nor_caches(self, monkeypatch):
+    def test_explained_block_never_searches(self, monkeypatch):
         # When DD's estimate explains every trial the block returns it as is.
+        # An outcome that needs a search, decoded in two later blocks beside
+        # the explained ones, is searched once (for p > 1/2 COMP explains it).
         d = gen_doubly_regular(30, 2, 3, seed=5)
         rng = np.random.default_rng(49)
         sets = rng.random((400, d.n)) < 0.05
         sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
+        hard = next(sig for sig in sigs if helpers.map_search_needed(d, sig))
         sigs = [sig for sig in sigs if helpers.outcome_signature(d, dd_mask(d, sig)) == sig][:150]
         assert len(set(sigs)) > 20
         searched = self._record_searches(monkeypatch)
         for p in (0.05, 0.5, 0.7):
+            searched.clear()
             decode = sim._map_block(d, Prior(p))
             got = self._decode_outcomes(decode, d, sigs)
             assert got == [helpers.map_reference(d, sig, p) for sig in sigs]
-            assert searched == [] and inspect.getclosurevars(decode).nonlocals["cache"] == {}
+            assert searched == []
+            mixed = sigs[:40] + [hard] + sigs[40:]
+            for _ in range(2):
+                got = self._decode_outcomes(decode, d, mixed)
+                assert got == [helpers.map_reference(d, sig, p) for sig in mixed]
+            assert searched == ([hard] if p <= 0.5 else [])
 
     def test_one_item_completions_match_reference(self, monkeypatch):
         # Every outcome that DD leaves unexplained and one item completes is
