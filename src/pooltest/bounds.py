@@ -89,8 +89,12 @@ def counting_bound(prior: Prior, n: int) -> float:
     """Information-theoretic test requirement H(p) * n, in bits."""
     if n < 1:
         raise ValueError(f"item count must be at least 1, got {n}")
+    try:
+        items = float(n)
+    except OverflowError:
+        raise ValueError("item count is too large to convert to a float") from None
     p, q = prior.p, prior.q
-    return n * (-p * math.log2(p) - q * math.log2(q))
+    return items * (-p * math.log2(p) - q * math.log2(q))
 
 
 def doubly_regular_disguise_bound(prior: Prior, l: int, r: int) -> float:

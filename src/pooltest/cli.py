@@ -185,16 +185,16 @@ def _cmd_figure(args) -> int:
         raise BudgetExceededError(f"{args.steps} steps exceed the budget of {FIGURE_STEP_BUDGET}")
     if not 0.0 < args.p_min <= args.p_max < 1.0:
         raise ValueError("need 0 < p-min <= p-max < 1")
+    last = max(args.steps - 1, 1)
+    grid = [args.p_min + k * (args.p_max - args.p_min) / last for k in range(args.steps)]
+    # the certified scan at p runs past weight q/p before it may stop
+    work = sum((1.0 - p) / p for p in grid)
+    if work > bounds_mod.SCAN_CAP:
+        raise BudgetExceededError(f"{work:.3g} scan weights exceed the budget of {bounds_mod.SCAN_CAP}")
     rows = ["p,L_star,w_star,epsilon"]
-    for k in range(args.steps):
-        if args.steps == 1:
-            p = args.p_min
-        else:
-            p = args.p_min + k * (args.p_max - args.p_min) / (args.steps - 1)
+    for p in grid:
         report = bounds_mod.epsilon_bound(Prior(p))
-        rows.append(
-            f"{_fmt(p)},{_fmt(report.l_star)},{report.w_star},{_fmt(report.epsilon)}"
-        )
+        rows.append(f"{_fmt(p)},{_fmt(report.l_star)},{report.w_star},{_fmt(report.epsilon)}")
     _write_text("\n".join(rows) + "\n", args.output)
     return 0
 

@@ -46,23 +46,13 @@ def _sole_survivors(tests: list[int]) -> int:
     return forced
 
 
-def comp_mask(design: TestDesign, y_sig: int) -> int:
-    """COMP: clear every item seen in a negative test, declare the rest defective."""
-    return _survivors(design, y_sig)[0]
-
-
-def dd_mask(design: TestDesign, y_sig: int) -> int:
-    """DD: declare the items that are the sole COMP survivor in some positive test."""
-    return _sole_survivors(_survivors(design, y_sig)[1])
-
-
 def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     """COMP on a block of outcomes held in bit lanes, one row per test (T x W uint64).
 
     Returns the lanes of the estimates, one row per item (n x W): an item's
     lane is the AND of its tests' lanes, so it keeps the trials in which no
-    test of the item is negative.  Trial r equals `comp_mask` of trial r's
-    outcome.  An item in no test is all ones, padding bits included.
+    test of the item is negative.  Trial r equals `decode_mask` with COMP of
+    trial r's outcome.  An item in no test is all ones, padding bits included.
     """
     return fold_lanes(positive, design.incidence.item_tests, np.bitwise_and)
 
@@ -75,7 +65,7 @@ def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     ORs its survivors' lanes into ``once``, and into ``twice`` where ``once``
     was already set, so ``once & ~twice`` marks the trials in which it holds
     exactly one survivor; a negative test holds none.  Trial r equals
-    `dd_mask` of trial r's outcome.
+    `decode_mask` with DD of trial r's outcome.
     """
     test_items, item_tests = design.incidence
     survivors = comp_block(design, positive)
@@ -172,14 +162,17 @@ def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
 
 
 def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior | None = None) -> int:
-    """Dispatch on decoder id; MAP requires a prior."""
-    if decoder is DecoderId.COMP:
-        return comp_mask(design, y_sig)
-    if decoder is DecoderId.DD:
-        return dd_mask(design, y_sig)
-    if prior is None:
-        raise ValueError("MAP decoding requires a prior")
-    return map_mask(design, y_sig, prior)
+    """Decode one outcome signature with the chosen decoder; MAP requires a prior.
+
+    COMP declares defective the survivors, the items in no negative test; DD
+    declares the survivors that are the sole survivor of some positive test.
+    """
+    if decoder is DecoderId.MAP:
+        if prior is None:
+            raise ValueError("MAP decoding requires a prior")
+        return map_mask(design, y_sig, prior)
+    survivors, tests = _survivors(design, y_sig)
+    return survivors if decoder is DecoderId.COMP else _sole_survivors(tests)
 
 
 def decode(

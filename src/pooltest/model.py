@@ -25,8 +25,8 @@ class Prior:
     q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"defectivity probability must lie strictly in (0, 1), got {self.p}")
+        if not 0.0 < self.p < 1.0 or 1.0 - self.p == 1.0:  # q rounds to 1 for p below ~5.6e-17
+            raise ValueError(f"defectivity probability must lie in (0, 1) with q < 1, got {self.p}")
         object.__setattr__(self, "q", 1.0 - self.p)
 
     def weight(self, defectives: int, n: int) -> float:

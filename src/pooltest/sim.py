@@ -135,28 +135,23 @@ def _lowest_completions(design: TestDesign, outcomes: np.ndarray, uncovered: np.
 
 
 def _map_block(design: TestDesign, prior: Prior):
-    """Return ``decode(positive, s)``: MAP on a block of s outcomes held in lanes (T x W).
+    """Return ``decode(positive, s)``: MAP for p <= 1/2 on a block of s outcomes in lanes (T x W).
 
-    Like `comp_block` and `dd_block`, it returns the estimates' lanes (n x W).
-    Raises `BudgetExceededError` at once when n is over the MAP budget.  The
-    block is first decoded in lanes by DD (COMP for p > 1/2).  A trial whose
-    estimate reproduces its outcome keeps it, since `map_mask` returns exactly
-    that set there: DD's set is its forced set and leaves no positive test to
-    cover, and for p > 1/2 it returns the COMP survivors.  Only the other
-    trials leave the lanes, and each of their distinct outcomes is decoded
-    once across all calls, through one cache keyed by the packed outcome.
-    For p <= 1/2 an outcome new to the cache that one item completes takes
-    DD's set and the lowest such item (`_lowest_completions`): that is the
-    smallest hitting set with the smallest bitmask, which `map_mask` returns.
-    The rest go through `decode_mask`.
+    Like `dd_block`, it returns the estimates' lanes (n x W), and it starts
+    from DD's: a trial whose estimate reproduces its outcome keeps it, since
+    `map_mask` returns that set there (DD's set is its forced set and leaves
+    no positive test to cover).  Only the other trials leave the lanes, and
+    each of their distinct outcomes is decoded once across all calls, through
+    one cache keyed by the packed outcome.  One new to the cache that one item
+    completes takes DD's set and the lowest such item (`_lowest_completions`),
+    the smallest hitting set with the smallest bitmask, which `map_mask`
+    returns; the rest go through `decode_mask`.
     """
-    _check_map_budget(design.n)
-    shortcut_block = dd_block if prior.p <= 0.5 else comp_block
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
 
     def decode(positive: np.ndarray, s: int) -> np.ndarray:
-        estimates = shortcut_block(design, positive)
+        estimates = dd_block(design, positive)
         images = _or_channel(design, estimates)
         flagged = np.flatnonzero(_differs(images, positive, s))
         if not len(flagged):
@@ -172,7 +167,7 @@ def _map_block(design: TestDesign, prior: Prior):
             outcomes, pick = trials[first[new]], flagged[first[new]]
             found = decoded[pick]
             items = np.full(len(new), -1)
-            if prior.p <= 0.5 and design.n:  # with no items, argmax has nothing to pick
+            if design.n:  # with no items, argmax has nothing to pick
                 uncovered = outcomes & ~from_lanes(images, s)[pick]
                 items = _lowest_completions(design, outcomes, uncovered)
                 done = np.flatnonzero(items >= 0)
@@ -196,10 +191,16 @@ def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
     """Return ``decode(positive, s)``: the decoder on a block of s outcomes in lanes, T x W to n x W.
 
     COMP and DD decode by word operations over the incidence lists
-    (`comp_block`, `dd_block`), MAP through its outcome cache (`_map_block`).
+    (`comp_block`, `dd_block`).  MAP checks its item budget at once; for p > 1/2
+    it decodes as COMP, since a block decoder is only given outcomes some set
+    produces, where `map_mask` returns the COMP survivors, and for p <= 1/2
+    through its outcome cache (`_map_block`).
     """
     if decoder is DecoderId.MAP:
-        return _map_block(design, prior)
+        _check_map_budget(design.n)
+        if prior.p <= 0.5:
+            return _map_block(design, prior)
+        decoder = DecoderId.COMP
     block = comp_block if decoder is DecoderId.COMP else dd_block
     return lambda positive, s: block(design, positive)
 

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from pooltest import Prior, TestDesign, new_design
-from pooltest.decode import decode_mask, dd_mask
+from pooltest import DecoderId, Prior, TestDesign, new_design
+from pooltest.decode import decode_mask
 from pooltest.sim import BLOCK_TRIALS
 
 
@@ -39,6 +39,39 @@ def outcome_signature(design: TestDesign, k_mask: int) -> int:
 def mask_of_row(row) -> int:
     """Bitmask of a boolean row: bit i set iff row[i]."""
     return sum(1 << int(i) for i in np.flatnonzero(row))
+
+
+def comp_reference(design: TestDesign, sig: int) -> int:
+    """COMP's estimate of one outcome: the items of no negative test (the survivors)."""
+    cleared = 0
+    for t, mask in enumerate(design.row_masks):
+        if not sig >> t & 1:
+            cleared |= mask
+    return ((1 << design.n) - 1) & ~cleared
+
+
+def dd_reference(design: TestDesign, sig: int) -> int:
+    """DD's estimate of one outcome: each survivor that a positive test holds as its only survivor."""
+    survivors = comp_reference(design, sig)
+    estimate = 0
+    for t, mask in enumerate(design.row_masks):
+        if sig >> t & 1 and (mask & survivors).bit_count() == 1:
+            estimate |= mask & survivors
+    return estimate
+
+
+def dd_explains(design: TestDesign, sig: int) -> bool:
+    """Whether DD's estimate of an outcome reproduces the outcome."""
+    return outcome_signature(design, dd_reference(design, sig)) == sig
+
+
+def reference_decoder(design: TestDesign, sig: int, decoder, prior: Prior) -> int:
+    """One outcome decoded by `comp_reference`/`dd_reference`, or by the library's MAP search."""
+    if decoder is DecoderId.COMP:
+        return comp_reference(design, sig)
+    if decoder is DecoderId.DD:
+        return dd_reference(design, sig)
+    return decode_mask(design, sig, decoder, prior)
 
 
 def set_weight(p: float, k_mask: int, n: int) -> float:
@@ -106,7 +139,7 @@ def map_search_needed(design: TestDesign, sig: int) -> bool:
     outside every negative test lies in all the uncovered ones, so that no
     single item completes DD's estimate.
     """
-    estimate = dd_mask(design, sig)
+    estimate = dd_reference(design, sig)
     common = (1 << design.n) - 1
     uncovered = False
     for t, mask in enumerate(design.row_masks):
@@ -128,7 +161,7 @@ def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
     n = design.n
     errors_by_size = [0] * (n + 1)
     for k in range(1 << n):
-        if decode_mask(design, outcome_signature(design, k), decoder, prior) != k:
+        if reference_decoder(design, outcome_signature(design, k), decoder, prior) != k:
             errors_by_size[bin(k).count("1")] += 1
     return float(sum(c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(errors_by_size) if c))
 
@@ -162,7 +195,7 @@ def monte_carlo_errors_reference(
     for k in monte_carlo_sets_reference(design, p, trials, seed, workers):
         sig = outcome_signature(design, k)
         if sig not in decoded:
-            decoded[sig] = decode_mask(design, sig, decoder, prior)
+            decoded[sig] = reference_decoder(design, sig, decoder, prior)
         if decoded[sig] != k:
             errors += 1
     return errors

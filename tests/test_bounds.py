@@ -129,8 +129,9 @@ class TestCountingBound:
         assert counting_bound(Prior(0.11), 1000) == pytest.approx(499.9, abs=0.1)
 
     def test_bad_n(self):
-        with pytest.raises(ValueError):
-            counting_bound(Prior(0.5), 0)
+        for n in (0, 10**400):  # 10**400 does not convert to a float
+            with pytest.raises(ValueError):
+                counting_bound(Prior(0.5), n)
 
 
 class TestDoublyRegularBound:

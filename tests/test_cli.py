@@ -111,14 +111,30 @@ class TestUsageErrors:
             assert capsys.readouterr().err == ""
 
 
-def run_fresh(argv):
+def run_fresh(argv, stdin=None):
     """Run the CLI in a new interpreter; return (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(pooltest.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "pooltest.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "pooltest.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestNumericEdgeInputs:
+    """A p whose complement rounds to 1, or an n beyond a float, ends in one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "-p", "1e-17"],
+        ["bound", "-p", "0.5", "-n", "1" + "0" * 400],
+        ["figure", "--p-min", "1e-17", "--p-max", "0.5", "--steps", "3"],
+        ["verify", "--design", "-", "-p", "1e-17"],
+        ["disguise", "--design", "-", "-p", "1e-17"],
+    ])
+    def test_exit_one_without_traceback(self, argv):
+        code, out, err = run_fresh(argv, stdin="2 3\n110\n011\n")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestCachedParser:
@@ -183,6 +199,26 @@ class TestFigureCommand:
 
     def test_bad_grid(self, capsys):
         assert run(["figure", "--p-min", "0.9", "--p-max", "0.1", "--steps", "3"]) == 1
+
+    def test_scan_work_over_budget_exit_one_before_any_scan(self, capsys, monkeypatch):
+        # Each scan at p runs past weight (1 - p)/p: 101 steps at p = 1e-4 ask
+        # for 1,009,899 weights, over SCAN_CAP = 10^6, and 100 steps do not.
+        import pooltest.cli as cli_mod
+
+        def refuse(prior):
+            raise AssertionError("figure scanned a grid over its budget")
+
+        monkeypatch.setattr(cli_mod.bounds_mod, "epsilon_bound", refuse)
+        for argv in (["--p-min", "1e-4", "--p-max", "1e-4", "--steps", "101"],
+                     ["--p-min", "2e-6", "--p-max", "3e-6", "--steps", "10000"]):
+            assert run(["figure", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "budget" in captured.err
+        half = epsilon_bound(Prior(0.5))
+        monkeypatch.setattr(cli_mod.bounds_mod, "epsilon_bound", lambda prior: half)
+        assert run(["figure", "--p-min", "1e-4", "--p-max", "1e-4", "--steps", "100"]) == 0
+        assert len(out_lines(capsys)) == 101
 
     def test_steps_over_budget_exit_one_before_any_step(self, capsys, monkeypatch):
         import pooltest.cli as cli_mod

@@ -19,7 +19,7 @@ from pooltest import (
     outcomes,
 )
 
-from pooltest.decode import comp_block, comp_mask, dd_block, dd_mask, map_mask
+from pooltest.decode import comp_block, dd_block, map_mask
 from pooltest.model import from_lanes, to_lanes
 
 import helpers
@@ -100,8 +100,8 @@ class TestMap:
     def test_dispatcher(self):
         d = new_design([{0, 1}], 2)
         y = OutcomeVector.from_string("1")
-        assert decode(d, y, DecoderId.COMP).mask == comp_mask(d, y.signature)
-        assert decode(d, y, DecoderId.DD).mask == dd_mask(d, y.signature)
+        assert decode(d, y, DecoderId.COMP).mask == helpers.comp_reference(d, y.signature)
+        assert decode(d, y, DecoderId.DD).mask == helpers.dd_reference(d, y.signature)
         assert decode(d, y, DecoderId.MAP, Prior(0.3)).mask == map_mask(d, y.signature, Prior(0.3))
         with pytest.raises(ValueError):
             decode(d, y, DecoderId.MAP)
@@ -148,7 +148,8 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
 
 
 class TestBlockKernels:
-    """`comp_block`/`dd_block` agree trial by trial with `comp_mask`/`dd_mask`."""
+    """`comp_block`/`dd_block` and `decode` agree outcome by outcome with
+    `helpers.comp_reference`/`dd_reference`."""
 
     @staticmethod
     def _check(design, signatures):
@@ -156,11 +157,17 @@ class TestBlockKernels:
         positive = to_lanes(np.array(
             [[bool(sig >> t & 1) for t in range(design.T)] for sig in signatures], dtype=bool
         ).reshape(s, design.T))
-        for block, single in ((comp_block, comp_mask), (dd_block, dd_mask)):
+        for block, decoder, reference in (
+            (comp_block, DecoderId.COMP, helpers.comp_reference),
+            (dd_block, DecoderId.DD, helpers.dd_reference),
+        ):
             estimates = block(design, positive)
             assert estimates.dtype == np.uint64 and estimates.shape == (design.n, -(-s // 64))
             for row, sig in zip(from_lanes(estimates, s), signatures):
-                assert helpers.mask_of_row(row) == single(design, sig)
+                expected = reference(design, sig)
+                assert helpers.mask_of_row(row) == expected
+                y = OutcomeVector.from_signature(sig, design.T)
+                assert decode(design, y, decoder).mask == expected
 
     def test_block_sizes_at_word_edges(self):
         # Padding bits of the last word never reach a trial: items in no test
@@ -246,6 +253,6 @@ class TestMapSearch:
                 signatures = []
                 while len(signatures) < 20:
                     sig = helpers.outcome_signature(d, helpers.mask_of_row(rng.random(n) < p))
-                    if p > 0.5 or comp_mask(d, sig).bit_count() <= self.REFERENCE_SURVIVORS:
+                    if p > 0.5 or helpers.comp_reference(d, sig).bit_count() <= self.REFERENCE_SURVIVORS:
                         signatures.append(sig)
                 self._check(d, signatures, p)

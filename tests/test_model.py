@@ -23,10 +23,14 @@ class TestPrior:
         pr = Prior(0.3)
         assert pr.q == pytest.approx(0.7, abs=0)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
+    # q = 1 - p rounds to 1 for p <= 2^-54, where the floor's q/p and log(q) break down
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, 1e-17, 2.0**-54, 5e-324])
     def test_boundaries_rejected(self, bad):
         with pytest.raises(ValueError):
             Prior(bad)
+
+    def test_smallest_p_with_q_below_one(self):
+        assert Prior(2.0**-53).q < 1.0
 
     def test_weight(self):
         pr = Prior(0.3)

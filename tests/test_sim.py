@@ -36,7 +36,7 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
-from pooltest.decode import comp_mask, dd_mask, decode_mask
+from pooltest.decode import decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 from pooltest.model import from_lanes, to_lanes
 
@@ -182,7 +182,7 @@ class TestExactAverageError:
         # estimate explains every such outcome.
         d = new_design([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {6, 7}, {7, 8}], 9)
         images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
-        unexplained = {s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s}
+        unexplained = {s for s in images if not helpers.dd_explains(d, s)}
         searches = {s for s in images if helpers.map_search_needed(d, s)}
         assert searches < unexplained and searches and len(images) < 1 << d.T
         original = sim.decode_mask
@@ -214,6 +214,13 @@ class TestExactAverageError:
 
 
 class TestMapBlock:
+    """MAP's block decoder, built by `sim._block_decoder`: `sim._map_block` for
+    p <= 1/2 and COMP's block for p > 1/2."""
+
+    @staticmethod
+    def _map_decoder(design, p):
+        return sim._block_decoder(design, Prior(p), DecoderId.MAP)
+
     def test_rows_match_one_outcome_decoder(self):
         rng = np.random.default_rng(48)
         designs = [
@@ -228,7 +235,7 @@ class TestMapBlock:
                 sets = rng.random((60, d.n)) < p
                 sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
                 positive = np.array([[sig >> t & 1 for t in range(d.T)] for sig in sigs], dtype=bool)
-                decode = sim._map_block(d, Prior(p))
+                decode = self._map_decoder(d, p)
                 for rows in (slice(0, 40), slice(20, 60)):  # the second call repeats 20 rows
                     got = decode(to_lanes(positive[rows]), 40)
                     assert got.shape == (d.n, 1) and got.dtype == np.uint64
@@ -239,7 +246,7 @@ class TestMapBlock:
     def test_budget_checked_on_creation(self):
         for p in (0.1, 0.7):
             with pytest.raises(BudgetExceededError):
-                sim._map_block(gen_individual(31), Prior(p))
+                self._map_decoder(gen_individual(31), p)
 
     @staticmethod
     def _decode_outcomes(decode, design, sigs):
@@ -269,12 +276,12 @@ class TestMapBlock:
         sets = rng.random((400, d.n)) < 0.05
         sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
         hard = next(sig for sig in sigs if helpers.map_search_needed(d, sig))
-        sigs = [sig for sig in sigs if helpers.outcome_signature(d, dd_mask(d, sig)) == sig][:150]
+        sigs = [sig for sig in sigs if helpers.dd_explains(d, sig)][:150]
         assert len(set(sigs)) > 20
         searched = self._record_searches(monkeypatch)
         for p in (0.05, 0.5, 0.7):
             searched.clear()
-            decode = sim._map_block(d, Prior(p))
+            decode = self._map_decoder(d, p)
             got = self._decode_outcomes(decode, d, sigs)
             assert got == [helpers.map_reference(d, sig, p) for sig in sigs]
             assert searched == []
@@ -295,29 +302,51 @@ class TestMapBlock:
         completions = 0
         for d in designs:
             images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
-            unexplained = [s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s]
+            unexplained = [s for s in images if not helpers.dd_explains(d, s)]
             one_item = [s for s in unexplained if not helpers.map_search_needed(d, s)]
             completions += len(one_item)
             for p in (0.1, 0.5):
                 searched.clear()
-                got = self._decode_outcomes(sim._map_block(d, Prior(p)), d, images)
+                got = self._decode_outcomes(self._map_decoder(d, p), d, images)
                 expected = [helpers.map_reference(d, sig, p) for sig in images]
                 assert got == expected
                 assert sorted(searched) == [s for s in unexplained if s not in one_item]
             if one_item:
-                assert any(comp_mask(d, s) != helpers.map_reference(d, s, 0.5) for s in one_item)
+                comp = [helpers.comp_reference(d, s) for s in one_item]
+                assert comp != [helpers.map_reference(d, s, 0.5) for s in one_item]
         assert completions > 100
 
     def test_inconsistent_outcome_reaches_the_search(self):
-        # No item completes an outcome no set produces, so decode_mask raises.
+        # No item completes an outcome no set produces, so for p <= 1/2
+        # decode_mask raises.  For p > 1/2 the block is COMP's, which returns
+        # such an outcome's survivors; no public call hands it one.
         cases = [
             (TestDesign(n=0, row_masks=(0,)), [1]),
             (new_design([{0, 1}, {0}, {1}, {2}], 3), [0b1000, 0b1001]),  # test 0 keeps no survivor
         ]
         for d, sigs in cases:
-            for p in (0.1, 0.5, 0.7):
+            for p in (0.1, 0.5):
                 with pytest.raises(InconsistentOutcomeError):
-                    self._decode_outcomes(sim._map_block(d, Prior(p)), d, sigs)
+                    self._decode_outcomes(self._map_decoder(d, p), d, sigs)
+            got = self._decode_outcomes(self._map_decoder(d, 0.7), d, sigs)
+            assert got == [helpers.comp_reference(d, sig) for sig in sigs]
+
+    def test_above_half_is_comp_block(self, monkeypatch):
+        # For p > 1/2 MAP's block decoder returns comp_block's lanes on
+        # sampled images, which are map_mask's survivors, and never searches.
+        rng = np.random.default_rng(47)
+        designs = [gen_doubly_regular(30, 2, 3, seed=5)]
+        designs += [helpers.random_messy_design(rng, int(rng.integers(1, 13)), 8) for _ in range(10)]
+        searched = self._record_searches(monkeypatch)
+        for d in designs:
+            sets = rng.random((150, d.n)) < 0.7
+            sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
+            positive = to_lanes(np.array([[sig >> t & 1 for t in range(d.T)] for sig in sigs], bool))
+            got = self._map_decoder(d, 0.7)(positive, len(sigs))
+            assert np.array_equal(got, sim.comp_block(d, positive))
+            rows = [helpers.mask_of_row(row) for row in from_lanes(got, len(sigs))]
+            assert rows == [helpers.map_reference(d, sig, 0.7) for sig in sigs]
+        assert searched == []
 
     def test_keys_over_64_tests(self, monkeypatch):
         # 64 copies of one test, then tests that alone tell the outcomes apart:
@@ -328,12 +357,12 @@ class TestMapBlock:
         searched = self._record_searches(monkeypatch)
         for p in (0.1, 0.5, 0.7):
             searched.clear()
-            decode = sim._map_block(d, Prior(p))
+            decode = self._map_decoder(d, p)
             for _ in range(2):  # the second call is served from the cache
                 got = self._decode_outcomes(decode, d, images)
                 assert got == [helpers.map_reference(d, sig, p) for sig in images]
             assert len(searched) == len(set(searched))
-        unexplained = [s for s in images if helpers.outcome_signature(d, dd_mask(d, s)) != s]
+        unexplained = [s for s in images if not helpers.dd_explains(d, s)]
         high = {s >> 64 for s in unexplained if s & (1 << 64) - 1 == (1 << 64) - 1}
         assert len(high) > 1  # outcomes agree on the first 64 tests but not after
 
@@ -460,7 +489,7 @@ class TestMonteCarlo:
         for p in (0.1, 0.7):
             sets = helpers.monte_carlo_sets_reference(d, p, trials, 3, 2)
             distinct = {signature(k) for k in sets}
-            unexplained = {s for s in distinct if p <= 0.5 and signature(dd_mask(d, s)) != s}
+            unexplained = {s for s in distinct if p <= 0.5 and not helpers.dd_explains(d, s)}
             searches = {s for s in unexplained if helpers.map_search_needed(d, s)}
             assert searches < unexplained or p > 0.5
             decoded.clear()
