@@ -48,10 +48,16 @@ def l_star(prior: Prior) -> tuple[float, int]:
     minimum's magnitude *and* is guaranteed to keep shrinking (w > q/p); from
     there no larger w can win, because |ln(1-x)| <= x/(1-x).  Ties go to the
     smaller weight.  Very small p pushes the certified stop beyond the hard
-    cap of 10^6, which raises `ScanLimitError`.
+    cap of 10^6, which raises `ScanLimitError`; at once, before any weight is
+    evaluated, when q/p alone reaches the cap.
     """
     q = prior.q
     monotone_from = q / (1.0 - q)
+    if monotone_from >= SCAN_CAP:
+        raise ScanLimitError(
+            f"certified scan must pass weight q/p = {monotone_from:.6g}, over the cap of {SCAN_CAP}"
+            f" (p = {prior.p})"
+        )
     best = weight_log_term(prior, 2)
     best_w = 2
     w = 2

@@ -77,9 +77,6 @@ class TestDesign:
     def T(self) -> int:
         return len(self.row_masks)
 
-    def items_in_test(self, t: int) -> tuple[int, ...]:
-        return _bit_positions(self.row_masks[t])
-
     @cached_property
     def incidence(self) -> Incidence:
         """The incidence lists of each test and each item (see `Incidence`).
@@ -122,10 +119,6 @@ class ReductionLog:
     resolved_items: tuple[tuple[int, int], ...]
     item_map: tuple[int, ...]
     test_map: tuple[int, ...]
-
-    def lift_items(self, reduced_items: Iterable[int]) -> tuple[int, ...]:
-        """Translate reduced item indices back to original item indices."""
-        return tuple(sorted(self.item_map[j] for j in reduced_items))
 
 
 def _bit_positions(mask: int) -> tuple[int, ...]:

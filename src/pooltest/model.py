@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .design import TestDesign, _bit_positions, _mask_from_indices, _pack_row
+from .design import TestDesign, _bit_positions, _mask_from_indices
 
 BLOCK_TRIALS = 4096
 
@@ -57,14 +57,6 @@ class DefectiveSet:
     def from_indices(cls, indices: Iterable[int], n: int) -> DefectiveSet:
         return cls(n=n, mask=_mask_from_indices(indices, n))
 
-    @classmethod
-    def empty(cls, n: int) -> DefectiveSet:
-        return cls(n=n, mask=0)
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(_bit_positions(self.mask))
-
     @property
     def indices(self) -> tuple[int, ...]:
         return _bit_positions(self.mask)
@@ -91,10 +83,6 @@ class OutcomeVector:
             raise ValueError(f"outcome string must contain only 0/1, got {text!r}")
         return cls(tuple(c == "1" for c in text))
 
-    @classmethod
-    def from_signature(cls, signature: int, T: int) -> OutcomeVector:
-        return cls(tuple(bool(signature >> t & 1) for t in range(T)))
-
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
 
@@ -108,14 +96,6 @@ class OutcomeVector:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-
-def sample_defective_set(n: int, prior: Prior, seed: int) -> DefectiveSet:
-    """Draw each item defective independently with probability p, seeded."""
-    if n < 1:
-        raise ValueError("universe must contain at least one item")
-    rng = np.random.default_rng(seed)
-    return DefectiveSet(n=n, mask=_pack_row(rng.random(n) < prior.p))
 
 
 def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:

@@ -28,10 +28,9 @@ CHUNK_ELEMENTS = 1 << 22
 
 @dataclass(frozen=True)
 class SimResult:
-    """Outcome of a seeded Monte Carlo run.
+    """Outcome of a seeded Monte Carlo error run.
 
-    ``errors`` counts the tallied event (decoding mistakes, or disguise hits
-    for `disguise_frequency`); the interval is Wilson 95%.
+    ``errors`` counts the decoder's mistakes; the interval is Wilson 95%.
     """
 
     trials: int
@@ -40,7 +39,7 @@ class SimResult:
     ci_low: float
     ci_high: float
     seed: int
-    decoder: DecoderId | None
+    decoder: DecoderId
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def _check_run(trials: int, seed: int, workers: int = 1) -> None:
         raise ValueError("seed must be nonnegative")
 
 
-def _sim_result(hits: int, trials: int, seed: int, decoder: DecoderId | None) -> SimResult:
+def _sim_result(hits: int, trials: int, seed: int, decoder: DecoderId) -> SimResult:
     low, high = wilson_interval(hits, trials)
     return SimResult(trials, hits, hits / trials, low, high, seed, decoder)
 
@@ -326,31 +325,6 @@ def monte_carlo_error(
             for sets, s in sample(rng, size):
                 total += int(np.count_nonzero(wrong(sets, s)))
     return _sim_result(total, trials, master_seed, decoder)
-
-
-def disguise_frequency(
-    design: TestDesign, prior: Prior, i: int, trials: int, seed: int
-) -> SimResult:
-    """Monte Carlo frequency of item i being totally disguised.
-
-    Each trial samples the other items' defectivity and checks that every
-    test containing i holds some defective besides i: item i's lane is
-    cleared, each of its tests ORs its items' lanes, and the results are
-    ANDed; a test holding only i then disguises i in no trial.  Returned with
-    ``decoder=None``; ``errors`` counts the disguise hits.
-    """
-    _check_run(trials, seed)
-    if not 0 <= i < design.n:
-        raise ValueError(f"item index {i} outside [0, {design.n})")
-    sample = _sampler(design, prior.p)
-    test_items, item_tests = design.incidence
-    own_tests = test_items[item_tests[i][item_tests[i] < design.T]]
-    hits = 0
-    for sets, s in sample(np.random.default_rng(seed), trials):
-        sets[i] = 0
-        met = fold_lanes(sets, own_tests, np.bitwise_or)
-        hits += int(np.count_nonzero(from_lanes(np.bitwise_and.reduce(met, axis=0, keepdims=True), s)))
-    return _sim_result(hits, trials, seed, None)
 
 
 def verify_theorem(

@@ -201,30 +201,6 @@ def monte_carlo_errors_reference(
     return errors
 
 
-def disguise_hits_reference(design: TestDesign, p: float, i: int, trials: int, seed: int) -> int:
-    """Disguise hits of `disguise_frequency`, by a loop over the tests containing i.
-
-    Draws exactly what the library draws, one stream from ``seed`` filled row
-    by row; its blocks of 8192 trials differ from the library's chunks, which
-    a row-by-row fill makes irrelevant.  A test holding only i is never
-    disguised.
-    """
-    co_tests = [
-        np.array([j for j in design.items_in_test(t) if j != i], dtype=np.intp)
-        for t, mask in enumerate(design.row_masks)
-        if mask >> i & 1
-    ]
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for done in range(0, trials, 8192):
-        sample = rng.random((min(8192, trials - done), design.n)) < p
-        ok = np.ones(len(sample), dtype=bool)
-        for idx in co_tests:
-            ok &= sample[:, idx].any(axis=1) if idx.size else False
-        hits += int(np.count_nonzero(ok))
-    return hits
-
-
 def brute_force_optimal_error(design: TestDesign, p: float) -> float:
     """Minimum average error over ALL deterministic outcome-to-estimate maps.
 

@@ -11,6 +11,7 @@ from pooltest import (
     BoundReport,
     Prior,
     ScanLimitError,
+    bounds,
     counting_bound,
     doubly_regular_disguise_bound,
     epsilon_bound,
@@ -62,6 +63,20 @@ class TestLStar:
     def test_tiny_p_hits_cap(self):
         with pytest.raises(ScanLimitError):
             l_star(Prior(1e-7))
+
+    def test_scan_past_cap_refused_before_any_weight(self, monkeypatch):
+        # The scan may stop only past weight q/p, which is 10^7 - 1 here.
+        def refuse(prior, w):
+            raise AssertionError("l_star evaluated a weight")
+
+        monkeypatch.setattr(bounds, "weight_log_term", refuse)
+        with pytest.raises(ScanLimitError, match="q/p"):
+            l_star(Prior(1e-7))
+
+    def test_scan_below_cap_still_runs_to_it(self):
+        # q/p = 999,999 lies under the cap, so the scan runs and then hits it.
+        with pytest.raises(ScanLimitError, match="not terminated"):
+            l_star(Prior(1e-6))
 
 
 class TestEpsilon:

@@ -122,7 +122,8 @@ def run_fresh(argv, stdin=None):
 
 
 class TestNumericEdgeInputs:
-    """A p whose complement rounds to 1, or an n beyond a float, ends in one error line."""
+    """A p whose complement rounds to 1 or whose floor scan cannot finish, or an n
+    beyond a float, ends in one error line."""
 
     @pytest.mark.parametrize("argv", [
         ["bound", "-p", "1e-17"],
@@ -130,6 +131,7 @@ class TestNumericEdgeInputs:
         ["figure", "--p-min", "1e-17", "--p-max", "0.5", "--steps", "3"],
         ["verify", "--design", "-", "-p", "1e-17"],
         ["disguise", "--design", "-", "-p", "1e-17"],
+        ["bound", "-p", "1e-7"],
     ])
     def test_exit_one_without_traceback(self, argv):
         code, out, err = run_fresh(argv, stdin="2 3\n110\n011\n")

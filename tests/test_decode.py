@@ -13,13 +13,12 @@ from pooltest import (
     OutcomeVector,
     Prior,
     TestDesign,
-    decode,
     gen_doubly_regular,
     new_design,
     outcomes,
 )
 
-from pooltest.decode import comp_block, dd_block, map_mask
+from pooltest.decode import comp_block, dd_block, decode, map_mask
 from pooltest.model import from_lanes, to_lanes
 
 import helpers
@@ -166,7 +165,7 @@ class TestBlockKernels:
             for row, sig in zip(from_lanes(estimates, s), signatures):
                 expected = reference(design, sig)
                 assert helpers.mask_of_row(row) == expected
-                y = OutcomeVector.from_signature(sig, design.T)
+                y = OutcomeVector(tuple(bool(sig >> t & 1) for t in range(design.T)))
                 assert decode(design, y, decoder).mask == expected
 
     def test_block_sizes_at_word_edges(self):

@@ -231,12 +231,6 @@ class TestReduce:
             assert len(set(log.item_map)) == len(log.item_map)
             assert len(set(log.test_map)) == len(log.test_map)
 
-    def test_lift_items(self):
-        d = new_design([set(), {0}, {0, 1, 2}], 3)
-        _, log = reduce_design(d)
-        assert log.lift_items([0, 1]) == (1, 2)
-        assert log.lift_items([1]) == (2,)
-
 
 class TestTextFormat:
     def test_round_trip(self):

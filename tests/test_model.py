@@ -11,7 +11,6 @@ from pooltest import (
     Prior,
     new_design,
     outcomes,
-    sample_defective_set,
 )
 from pooltest.model import BLOCK_TRIALS, count_by_size, from_lanes, subset_blocks, to_lanes
 
@@ -43,7 +42,6 @@ class TestDefectiveSet:
         ds = DefectiveSet.from_indices([2, 0], 4)
         assert ds.mask == 0b101
         assert ds.indices == (0, 2)
-        assert ds.members == frozenset({0, 2})
         assert 2 in ds and 1 not in ds
         assert len(ds) == 2
 
@@ -63,30 +61,9 @@ class TestOutcomeVector:
         assert y.signature == 0b0110
         assert len(y) == 4
 
-    def test_signature_round_trip(self):
-        assert OutcomeVector.from_signature(5, 4).to_string() == "1010"
-
     def test_bad_string(self):
         with pytest.raises(ValueError):
             OutcomeVector.from_string("012")
-
-
-class TestSampling:
-    def test_deterministic(self):
-        a = sample_defective_set(50, Prior(0.2), seed=9)
-        b = sample_defective_set(50, Prior(0.2), seed=9)
-        assert a == b
-
-    def test_concentration(self):
-        # 100 seeds, n=10^4, p=0.3: mean fraction within 0.3 +/- 0.02
-        n = 10_000
-        pr = Prior(0.3)
-        fractions = [len(sample_defective_set(n, pr, seed=s)) / n for s in range(100)]
-        assert abs(float(np.mean(fractions)) - 0.3) < 0.02
-
-    def test_zero_items_rejected(self):
-        with pytest.raises(ValueError):
-            sample_defective_set(0, Prior(0.5), seed=0)
 
 
 class TestOutcomes:
@@ -98,7 +75,7 @@ class TestOutcomes:
 
     def test_empty_set_all_negative(self):
         d = new_design([{0, 1}, {1, 2}, set()], 3)
-        assert outcomes(d, DefectiveSet.empty(3)).to_string() == "000"
+        assert outcomes(d, DefectiveSet(3, 0)).to_string() == "000"
 
     def test_identity_decodes_itself(self):
         d = new_design([{0}, {1}, {2}], 3)
@@ -107,7 +84,7 @@ class TestOutcomes:
     def test_universe_mismatch(self):
         d = new_design([{0}], 2)
         with pytest.raises(ValueError):
-            outcomes(d, DefectiveSet.empty(3))
+            outcomes(d, DefectiveSet(3, 0))
 
     def test_weight_zero_test_never_fires(self):
         d = new_design([set(), {0}], 1)

@@ -20,8 +20,6 @@ from pooltest import (
     TestDesign,
     VerificationReport,
     co_items,
-    disguise_frequency,
-    doubly_regular_disguise_bound,
     epsilon_bound,
     exact_average_error,
     from_dict,
@@ -449,8 +447,6 @@ class TestMonteCarlo:
             for decoder in DecoderId:
                 with pytest.raises(BudgetExceededError, match="chunk budget of 6"):
                     monte_carlo_error(d, Prior(0.3), decoder, 10, 0)
-            with pytest.raises(BudgetExceededError):
-                disguise_frequency(d, Prior(0.3), 0, 10, 0)
         monte_carlo_error(TestDesign(n=6, row_masks=()), Prior(0.3), DecoderId.COMP, 10, 0)
 
     def test_surplus_workers_change_nothing_and_start_no_thread(self, monkeypatch):
@@ -537,66 +533,6 @@ class TestMonteCarlo:
         result = monte_carlo_error(d, Prior(0.3), DecoderId.MAP, 5_000, 11, workers=2)
         parsed = from_dict(SimResult, json.loads(json.dumps(to_dict(result))))
         assert parsed == result
-
-
-class TestDisguiseFrequency:
-    def test_untested_item_always_disguised(self):
-        d = new_design([{1, 2}], 3)
-        result = disguise_frequency(d, Prior(0.5), 0, 5_000, 1)
-        assert result.estimate == 1.0
-        assert result.decoder is None
-
-    def test_two_disjoint_tests(self):
-        d = new_design([{0, 1}, {0, 2}], 3)
-        result = disguise_frequency(d, Prior(0.5), 0, 100_000, 4)
-        assert result.ci_low <= 0.25 <= result.ci_high
-
-    def test_solo_test_never_disguised(self):
-        d = new_design([{0}], 2)
-        result = disguise_frequency(d, Prior(0.9), 0, 2_000, 1)
-        assert result.estimate == 0.0
-
-    def test_regular_design_respects_floor(self):
-        d = gen_doubly_regular(60, 2, 4, seed=9)
-        pr = Prior(0.3)
-        result = disguise_frequency(d, pr, 0, 100_000, 8)
-        floor = doubly_regular_disguise_bound(pr, 2, 4)
-        stderr = math.sqrt(result.estimate * (1 - result.estimate) / result.trials)
-        assert result.estimate >= floor - 3 * stderr
-
-    def test_matches_per_co_test_loop(self):
-        rng = np.random.default_rng(47)
-        # item 0 has a test to itself; item 3 is in no test
-        designs = [new_design([{0}, {0, 1}, {1, 2}], 4)]
-        for _ in range(12):
-            n, T = int(rng.integers(1, 12)), int(rng.integers(1, 8))
-            designs.append(helpers.random_messy_design(rng, n, T))
-        designs.append(gen_doubly_regular(600, 2, 4, seed=2))
-        for k, d in enumerate(designs):
-            for i in sorted({0, d.n // 2, d.n - 1}):
-                for p in (0.05, 0.5):
-                    got = disguise_frequency(d, Prior(p), i, 9000, k)
-                    assert got.errors == helpers.disguise_hits_reference(d, p, i, 9000, k)
-
-    def test_chunks_leave_hits_unchanged(self, monkeypatch):
-        d = gen_doubly_regular(60, 2, 4, seed=9)
-        whole = disguise_frequency(d, Prior(0.3), 5, 20_000, 8)
-        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 60 * 777)
-        assert disguise_frequency(d, Prior(0.3), 5, 20_000, 8) == whole
-
-    def test_deterministic(self):
-        d = new_design([{0, 1}], 2)
-        assert disguise_frequency(d, Prior(0.5), 0, 3_000, 7) == disguise_frequency(
-            d, Prior(0.5), 0, 3_000, 7
-        )
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            disguise_frequency(new_design([{0}], 1), Prior(0.5), 1, 10, 0)
-        with pytest.raises(ValueError, match="trials must be positive"):
-            disguise_frequency(new_design([{0}], 1), Prior(0.5), 0, 0, 0)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            disguise_frequency(new_design([{0}], 1), Prior(0.5), 0, 10, -1)
 
 
 class TestVerifyTheorem:
