@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -274,11 +275,24 @@ def _cmd_verify(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; exit 0 on success, 1 on usage errors, 2 on verification failure."""
+    """Parse and dispatch; exit 0 on success, 1 on usage errors, 2 on verification failure.
+
+    A reader that closes stdout early is no error: the rest of the output is
+    dropped, and the run exits 0.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader wanted no more (``| head``), which is no error.  Point the
+        # stdout descriptor at the null device, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

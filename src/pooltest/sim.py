@@ -20,10 +20,15 @@ from .model import (
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
 FLOOR_TOLERANCE = 1e-12
-# Most values (trials x max(n, T)) one sampled chunk may hold.  Chunks split
-# blocks without changing the draws: a generator fills arrays row by row.
+# Most values (trials x max(n, T)) one decoded chunk may hold, though a chunk
+# holds at least one lane word of 64 trials.  Each block is drawn whole before
+# chunks slice it in whole lane words, so the draws do not depend on this.
 # Designs with n and T up to 1024 fit a whole block of BLOCK_TRIALS in one chunk.
 CHUNK_ELEMENTS = 1 << 22
+# Lane words one piece of the draw covers.  A piece takes its random words in
+# order, digit by digit, so this fixes the stream; it bounds the draw's
+# temporaries at 512 KiB each, whatever the design size.
+DRAW_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,11 +202,17 @@ def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
     """
     if decoder is DecoderId.MAP:
         _check_map_budget(design.n)
-        if prior.p <= 0.5:
-            return _map_block(design, prior)
-        decoder = DecoderId.COMP
+    decoder = _block_decoder_id(prior, decoder)
+    if decoder is DecoderId.MAP:
+        return _map_block(design, prior)
     block = comp_block if decoder is DecoderId.COMP else dd_block
     return lambda positive, s: block(design, positive)
+
+
+def _block_decoder_id(prior: Prior, decoder: DecoderId) -> DecoderId:
+    """The decoder whose block kernel decodes blocks for ``decoder``: MAP's for
+    p <= 1/2, and COMP's for MAP above 1/2 (see `_block_decoder`)."""
+    return DecoderId.COMP if decoder is DecoderId.MAP and prior.p > 0.5 else decoder
 
 
 def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
@@ -228,7 +239,8 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
     and the channel maps that estimate back to y, so each outcome adds at most
     one set.  Each block of outcomes is decoded by COMP first; an outcome that
     COMP's estimate does not reproduce is in no set's image and is dropped.
-    COMP keeps its estimates of the rest, and DD and MAP decode them anew.
+    COMP, and MAP above 1/2, keep COMP's estimates of the rest; DD and MAP
+    at p <= 1/2 decode them anew.
     """
     n, T = design.n, design.T
     decode_block = _block_decoder(design, prior, decoder)
@@ -238,7 +250,7 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
         positive = to_lanes(_bit_rows(ys, T))
         estimates = comp_block(design, positive)
         right = ~_differs(_or_channel(design, estimates), positive, s)
-        if decoder is not DecoderId.COMP:
+        if _block_decoder_id(prior, decoder) is not DecoderId.COMP:
             ys = ys[right]
             s = len(ys)
             positive = to_lanes(_bit_rows(ys, T))
@@ -270,14 +282,58 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
     return prior.probability(count_by_size(n, lambda ks: wrong(to_lanes(_bit_rows(ks, n)), len(ks))))
 
 
-def _sampler(design: TestDesign, p: float):
-    """Return ``sample(rng, size)``, which yields ``size`` sampled defective sets in chunks.
+def _draw_lanes(bitgen: np.random.BitGenerator, p: float, n: int, s: int) -> np.ndarray:
+    """s defective sets over n items in lanes (n x W), each bit 1 with probability p.
 
-    Each chunk is ``(sets, s)``: s defective sets in lanes (n x W), at most
-    `BLOCK_TRIALS` of them and at most `CHUNK_ELEMENTS` values over max(n, T)
-    columns; a design with no items and no tests gets whole blocks of empty
-    sets.  Raises `BudgetExceededError` at
-    once, before anything is sampled, when a single row is over the budget.
+    Every bit compares its own uniform U with p, digit by digit along p's
+    binary expansion from the first: a lane word takes one raw word of
+    ``bitgen`` per digit while it has undecided bits.  Where the digit of p is
+    1, an undecided bit whose random bit is 0 has U < p and is defective; where
+    it is 0, one whose random bit is 1 has U > p and is clean.  Bits still
+    undecided after p's last 1-digit have U >= p and are clean, so each bit is
+    exactly Bernoulli(p) for the double p, and about 7 raw words are drawn per
+    lane word at any p.  Padding bits past trial s start decided, so they stay
+    0.  The n x W words, in row order, are drawn in pieces of `DRAW_WORDS`;
+    within a piece, each digit takes its raw words in word order.
+    """
+    numerator, denominator = p.as_integer_ratio()
+    digits = [numerator >> k & 1 for k in reversed(range(denominator.bit_length() - 1))]
+    W = -(-s // 64)
+    lanes = np.zeros(n * W, dtype=np.uint64)
+    last = np.uint64((1 << (s - 64 * (W - 1))) - 1)  # the trials of each row's last word
+    for start in range(0, n * W, DRAW_WORDS):
+        piece = lanes[start:start + DRAW_WORDS]
+        undecided = np.full(len(piece), ~np.uint64(0))
+        undecided[(W - 1 - start) % W::W] = last
+        live = slice(None)  # the piece's words with undecided bits, in order
+        for digit in digits:
+            bits = bitgen.random_raw(len(undecided))
+            if digit:
+                kept = undecided & bits
+                piece[live] |= undecided ^ kept
+                undecided = kept
+            else:
+                undecided &= ~bits
+            keep = np.flatnonzero(undecided != 0)
+            if not len(keep):
+                break
+            if len(keep) < len(undecided):
+                live = keep if isinstance(live, slice) else live[keep]
+                undecided = undecided[keep]
+    return lanes.reshape(n, W)
+
+
+def _sampler(design: TestDesign, p: float):
+    """Return ``sample(rng, size)``, which draws ``size`` defective sets and yields them in chunks.
+
+    The ``size`` sets, at most a block of `BLOCK_TRIALS`, are drawn at once in
+    lanes from ``rng``'s bit generator (`_draw_lanes`), so no float is drawn and
+    the sets depend only on the design's n, p, ``size`` and the stream.  Each
+    chunk is ``(sets, s)``: s of the sets in lanes (n x W), sliced from the
+    block in whole lane words, at most `CHUNK_ELEMENTS` values over max(n, T)
+    columns but never under 64 trials.  A design with no items and no tests
+    gets whole blocks of empty sets.  Raises `BudgetExceededError` at once,
+    before anything is drawn, when a single trial is over the budget.
     """
     width = max(design.n, design.T)
     if width > CHUNK_ELEMENTS:
@@ -285,12 +341,12 @@ def _sampler(design: TestDesign, p: float):
             f"one trial over {design.n} items and {design.T} tests spans {width} values, "
             f"over the chunk budget of {CHUNK_ELEMENTS}"
         )
-    rows = min(BLOCK_TRIALS, CHUNK_ELEMENTS // max(width, 1))
+    rows = max(64, min(BLOCK_TRIALS, CHUNK_ELEMENTS // max(width, 1)) // 64 * 64)
 
     def sample(rng: np.random.Generator, size: int):
+        lanes = _draw_lanes(rng.bit_generator, p, design.n, size)
         for start in range(0, size, rows):
-            s = min(rows, size - start)
-            yield to_lanes(rng.random((s, design.n)) < p), s
+            yield lanes[:, start // 64:(start + rows) // 64], min(rows, size - start)
 
     return sample
 
@@ -311,7 +367,9 @@ def monte_carlo_error(
     random substreams the blocks are dealt over; the workers that own a block
     run one after another on the calling thread.  The result is a
     deterministic function of (inputs, master_seed, workers).  Each block is
-    sampled and decoded in chunks (see `_sampler`).
+    drawn whole, straight into bit lanes from the substream's raw 64-bit words,
+    each item defective with probability exactly p, and decoded in chunks (see
+    `_sampler`).
     """
     _check_run(trials, master_seed, workers)
     sample = _sampler(design, prior.p)

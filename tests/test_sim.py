@@ -173,6 +173,27 @@ class TestExactAverageError:
             exact_average_error(many, Prior(0.3), decoder)
             assert decoded == [1 << many.n]
 
+    def test_one_comp_pass_per_block(self, monkeypatch):
+        # Each block of outcomes goes through comp_block once: MAP above 1/2,
+        # whose block decoder is comp_block, keeps that pass as COMP does, and
+        # DD and MAP at 1/2 and below decode by their own kernels.  The 2^13
+        # outcomes are two blocks.
+        d = new_design(
+            [{0, 1, 2}, {3, 4}, {5, 6, 7}, {0, 8}, {9, 10}, {11, 12}, {1, 13}, {2, 3},
+             {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}], 14)
+        comp, calls = sim.comp_block, []
+
+        def counting(design, positive):
+            calls.append(positive.shape[1])
+            return comp(design, positive)
+
+        monkeypatch.setattr(sim, "comp_block", counting)
+        for decoder in DecoderId:
+            for p in (0.3, 0.5, 0.7):
+                calls.clear()
+                exact_average_error(d, Prior(p), decoder)
+                assert calls == [sim.BLOCK_TRIALS // 64] * 2
+
     def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
         # MAP searches go through the module attribute sim.decode_mask, and
         # only for outcomes some set produces that DD's estimate does not
@@ -365,6 +386,69 @@ class TestMapBlock:
         assert len(high) > 1  # outcomes agree on the first 64 tests but not after
 
 
+def _drawn(design, p, size, seed):
+    """The lanes (n x W) of one block of ``size`` sets the library draws from substream (seed, 0)."""
+    chunks = sim._sampler(design, p)(np.random.default_rng([seed, 0]), size)
+    return np.concatenate([sets for sets, _ in chunks], axis=1)
+
+
+class TestLaneDraw:
+    """`sim._sampler` draws each block straight into lanes from raw 64-bit words."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.02, 1e-6, 1 - 2**-53])
+    def test_matches_reference_across_pieces(self, p, monkeypatch):
+        assert sim.DRAW_WORDS == helpers.DRAW_WORDS
+        d = TestDesign(n=9, row_masks=())
+        size = sim.BLOCK_TRIALS - 37  # 9 rows of 64 words, the last one partly filled
+        for piece_words in (helpers.DRAW_WORDS, 100, 7):  # pieces that end inside rows
+            monkeypatch.setattr(sim, "DRAW_WORDS", piece_words)
+            rows = from_lanes(_drawn(d, p, size, 5), size)
+            got = [helpers.mask_of_row(row) for row in rows]
+            assert got == helpers.monte_carlo_sets_reference(d, p, size, 5, 1, piece_words)
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000, sim.BLOCK_TRIALS])
+    def test_padding_bits_stay_zero(self, size):
+        # At p = 1 - 2^-53 every trial's bit is 1 but for chance 2^-53 each.
+        lanes = _drawn(TestDesign(n=5, row_masks=()), 1 - 2**-53, size, 2)
+        expected = np.zeros((5, -(-size // 64) * 64), dtype=bool)
+        expected[:, :size] = True
+        assert np.array_equal(lanes, np.packbits(expected, axis=1, bitorder="little").view("<u8"))
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-6, 1 - 2**-53])
+    def test_bit_frequency_within_five_sigma(self, p):
+        n = 256
+        bits = np.unpackbits(_drawn(TestDesign(n=n, row_masks=()), p, sim.BLOCK_TRIALS, 4)
+                             .view(np.uint8), bitorder="little").reshape(-1, 64)
+        assert abs(bits.sum() - bits.size * p) <= 5 * math.sqrt(bits.size * p * (1 - p))
+        if min(p, 1 - p) >= 0.01:  # each of the 64 bit positions of a word, 16,384 bits each
+            deviations = np.abs(bits.sum(axis=0) - len(bits) * p)
+            assert np.all(deviations <= 5 * math.sqrt(len(bits) * p * (1 - p)))
+
+    @pytest.mark.parametrize("p", [0.3, 0.02])
+    def test_neighbours_uncorrelated(self, p):
+        # Neighbouring items in one trial, and one item in neighbouring trials
+        # (across word boundaries too): correlation within 5 standard errors of 0.
+        rows = from_lanes(_drawn(TestDesign(n=256, row_masks=()), p, sim.BLOCK_TRIALS, 6),
+                          sim.BLOCK_TRIALS).astype(float)
+        for a, b in ((rows[:, :-1], rows[:, 1:]), (rows[:-1], rows[1:])):
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) <= 5 / math.sqrt(a.size)
+
+    def test_error_within_wilson_interval_of_exact(self):
+        # The exact error lies in the Monte Carlo estimate's Wilson score
+        # interval at z = 5: |estimate - exact| <= 5 sqrt(exact (1 - exact) / trials).
+        rng = np.random.default_rng(48)
+        designs = [gen_doubly_regular(12, 2, 3, seed=2), new_design([{0, 1}, {1, 2}], 3)]
+        designs += [helpers.random_messy_design(rng, n, n - 3) for n in (8, 11, 14)]
+        trials = 20_000
+        for case, d in enumerate(designs):
+            for p in (0.1, 0.3, 0.7):
+                for decoder in DecoderId:
+                    exact = exact_average_error(d, Prior(p), decoder)
+                    got = monte_carlo_error(d, Prior(p), decoder, trials, case)
+                    assert abs(got.estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
+
+
 class TestMonteCarlo:
     def test_identity_never_errs(self):
         result = monte_carlo_error(gen_individual(5), Prior(0.3), DecoderId.MAP, 10_000, 3)
@@ -401,22 +485,20 @@ class TestMonteCarlo:
         # Skewed: one test holds every item, beside weight-1 and empty tests.
         designs.append(new_design([range(12), {3}, set(), {0, 5}, {11}, set()], 12))
         for case, d in enumerate(designs):
-            for decoder in DecoderId:
-                for trials, workers in ((5_000, 1), (13_000, 3)):
+            for trials, workers in ((5_000, 1), (13_000, 3)):
+                sets = helpers.monte_carlo_sets_reference(d, 0.3, trials, case, workers)
+                for decoder in DecoderId:
                     got = monte_carlo_error(d, Prior(0.3), decoder, trials, case, workers)
-                    expected = helpers.monte_carlo_errors_reference(
-                        d, 0.3, decoder, trials, case, workers
-                    )
-                    assert got.errors == expected
+                    assert got.errors == helpers.monte_carlo_errors_reference(d, 0.3, decoder, sets)
 
     def test_n600_matches_per_row_loop(self):
         d = gen_doubly_regular(600, 2, 4, seed=8)  # rows span 75 packed bytes
         trials = sim.BLOCK_TRIALS + 300  # one full block and a partial one
         for p in (0.02, 0.1):
+            sets = helpers.monte_carlo_sets_reference(d, p, trials, 6, 1)
             for decoder in (DecoderId.COMP, DecoderId.DD):
                 got = monte_carlo_error(d, Prior(p), decoder, trials, 6)
-                expected = helpers.monte_carlo_errors_reference(d, p, decoder, trials, 6, 1)
-                assert got.errors == expected
+                assert got.errors == helpers.monte_carlo_errors_reference(d, p, decoder, sets)
 
     def test_chunks_leave_counts_unchanged(self, monkeypatch):
         d = new_design([{0, 1}, {1, 2, 3}, {3, 4}, set()], 6)
@@ -435,11 +517,11 @@ class TestMonteCarlo:
             return recorded
 
         monkeypatch.setattr(sim, "_error_tally", recording)
-        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6 * 1000 + 5)  # 1000 rows of 6 items
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6 * 1000 + 5)  # 960 rows (15 words) of 6 items
         for decoder in DecoderId:
             chunks.clear()
             assert monte_carlo_error(d, Prior(0.3), decoder, trials, 9, 2) == whole[decoder]
-            assert sum(chunks) == trials and max(chunks) == 1000
+            assert sum(chunks) == trials and max(chunks) == 960
 
     def test_row_over_chunk_budget_raises(self, monkeypatch):
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6)
