@@ -7,6 +7,7 @@ row r belongs to one item (or test) and whose bit b of word w is trial
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -108,13 +109,59 @@ def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:
     return OutcomeVector(tuple(bool(m & k) for m in design.row_masks))
 
 
-def subset_blocks(m: int) -> Iterator[np.ndarray]:
-    """Yield the 2^m subsets of m items in increasing order, as uint32 bitmasks
-    (bit ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`."""
+def _check_subset_width(m: int) -> None:
     if not 0 <= m <= 32:
         raise ValueError(f"cannot enumerate the subsets of {m} items as uint32 bitmasks")
+
+
+def subset_blocks(m: int) -> Iterator[np.ndarray]:
+    """Yield the 2^m subsets of m items in increasing order, as uint32 bitmasks
+    (bit ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`; `subset_lanes`
+    gives the same block in lanes."""
+    _check_subset_width(m)
     for start in range(0, 1 << m, BLOCK_TRIALS):
         yield np.arange(start, min(start + BLOCK_TRIALS, 1 << m), dtype="<u4")
+
+
+@functools.cache
+def _block_patterns() -> np.ndarray:
+    """Rows 0 .. log2(`BLOCK_TRIALS`) - 1 of the lanes of the subsets
+    0 .. `BLOCK_TRIALS` - 1: bit b of word w of row i is bit i of 64w + b.
+
+    Built on first use, from uint16 trial indices: built at import, it raised
+    the peak RSS of every process, whether it walks subsets or not, by 0.3 to
+    0.8 MB, and from int64 indices, that of an exact run by 0.5 MB.
+    """
+    trials = np.arange(BLOCK_TRIALS, dtype=np.uint16)
+    rows = trials >> np.arange(BLOCK_TRIALS.bit_length() - 1, dtype=np.uint16)[:, None] & 1
+    table = np.packbits(rows, axis=1, bitorder="little").view("<u8")
+    table.flags.writeable = False
+    return table
+
+
+def subset_lanes(m: int, start: int) -> np.ndarray:
+    """The bit lanes (m x W) of the block of subsets of m items that
+    `subset_blocks` yields from ``start``: row i holds item i in each of them.
+
+    Nothing is packed.  As a block starts at a multiple of `BLOCK_TRIALS`, a
+    power of two, its rows below log2(`BLOCK_TRIALS`) are the same in every
+    block (`_block_patterns`), and each higher row i is all ones or all
+    zeros, as bit i of ``start``.  A block of under 64 subsets (m < 6) keeps
+    its padding bits 0.
+    """
+    _check_subset_width(m)
+    if start % BLOCK_TRIALS or not 0 <= start < 1 << m:
+        raise ValueError(f"no block of the subsets of {m} items starts at {start}")
+    s = min(BLOCK_TRIALS, (1 << m) - start)
+    patterns = _block_patterns()
+    low = min(m, len(patterns))
+    lanes = np.empty((m, -(-s // 64)), dtype=np.uint64)
+    lanes[:low] = patterns[:low, :lanes.shape[1]]
+    if s < 64:
+        lanes &= np.uint64((1 << s) - 1)
+    high = np.array([start >> i & 1 for i in range(low, m)], dtype=np.uint64)
+    lanes[low:] = (np.uint64(0) - high)[:, None]
+    return lanes
 
 
 def count_by_size(m: int, event: Callable[[np.ndarray], np.ndarray]) -> tuple[int, ...]:

@@ -14,7 +14,8 @@ from .decode import (
 from .design import TestDesign
 from .errors import BudgetExceededError
 from .model import (
-    BLOCK_TRIALS, Prior, count_by_size, fold_lanes, from_lanes, subset_blocks, to_lanes,
+    BLOCK_TRIALS, Prior, count_by_size, fold_lanes, from_lanes, subset_blocks, subset_lanes,
+    to_lanes,
 )
 
 _Z95 = 1.959963984540054
@@ -237,17 +238,19 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
 
     A set K is decoded right exactly when K is the estimate of some outcome y
     and the channel maps that estimate back to y, so each outcome adds at most
-    one set.  Each block of outcomes is decoded by COMP first; an outcome that
-    COMP's estimate does not reproduce is in no set's image and is dropped.
-    COMP, and MAP above 1/2, keep COMP's estimates of the rest; DD and MAP
-    at p <= 1/2 decode them anew.
+    one set.  Each block of outcomes is built in lanes (`subset_lanes`) and
+    decoded by COMP first; an outcome that COMP's estimate does not reproduce
+    is in no set's image and is dropped.  COMP, and MAP above 1/2, keep
+    COMP's estimates of the rest; DD and MAP at p <= 1/2 decode them anew,
+    packed from their bitmasks.  Each estimate's size is the sum over the
+    items of its bits, unpacked along the trial axis.
     """
     n, T = design.n, design.T
     decode_block = _block_decoder(design, prior, decoder)
     success = np.zeros(n + 1, dtype=np.int64)
     for ys in subset_blocks(T):
         s = len(ys)
-        positive = to_lanes(_bit_rows(ys, T))
+        positive = subset_lanes(T, int(ys[0]))
         estimates = comp_block(design, positive)
         right = ~_differs(_or_channel(design, estimates), positive, s)
         if _block_decoder_id(prior, decoder) is not DecoderId.COMP:
@@ -256,7 +259,8 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
             positive = to_lanes(_bit_rows(ys, T))
             estimates = decode_block(positive, s)
             right = ~_differs(_or_channel(design, estimates), positive, s)
-        sizes = np.count_nonzero(from_lanes(estimates, s), axis=1)
+        bits = np.unpackbits(estimates.view(np.uint8), axis=1, count=s, bitorder="little")
+        sizes = bits.sum(axis=0, dtype=np.uint8)  # n is within EXACT_ITEM_BUDGET, far below 256
         success += np.bincount(sizes[right], minlength=n + 1)
     return success.tolist()
 
@@ -279,7 +283,7 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
         success = _success_counts(design, prior, decoder)
         return prior.probability([math.comb(n, j) - s for j, s in enumerate(success)])
     wrong = _error_tally(design, prior, decoder)
-    return prior.probability(count_by_size(n, lambda ks: wrong(to_lanes(_bit_rows(ks, n)), len(ks))))
+    return prior.probability(count_by_size(n, lambda ks: wrong(subset_lanes(n, int(ks[0])), len(ks))))
 
 
 def _draw_lanes(bitgen: np.random.BitGenerator, p: float, n: int, s: int) -> np.ndarray:

@@ -12,7 +12,9 @@ from pooltest import (
     new_design,
     outcomes,
 )
-from pooltest.model import BLOCK_TRIALS, count_by_size, from_lanes, subset_blocks, to_lanes
+from pooltest.model import (
+    BLOCK_TRIALS, count_by_size, from_lanes, subset_blocks, subset_lanes, to_lanes,
+)
 
 import helpers
 
@@ -129,6 +131,23 @@ class TestSubsetWalk:
                 next(subset_blocks(m))
             with pytest.raises(ValueError):
                 count_by_size(m, lambda ks: ks > 0)
+            with pytest.raises(ValueError):
+                subset_lanes(m, 0)
+
+    def test_lanes_match_packed_blocks(self):
+        # m < 6 leaves a partly filled word; m >= 13 takes rows from the block's start.
+        for m in range(16):
+            for ks in subset_blocks(m):
+                rows = (ks[:, None] >> np.arange(m) & 1).astype(bool)
+                lanes = subset_lanes(m, int(ks[0]))
+                assert lanes.dtype == np.uint64 and (lanes == to_lanes(rows)).all()
+                for r in range(m):  # padding bits are 0
+                    assert int.from_bytes(lanes[r].tobytes(), "little") >> len(ks) == 0
+
+    def test_lanes_start_checked(self):
+        for m, start in ((13, 1), (13, BLOCK_TRIALS * 2), (4, 16), (4, -BLOCK_TRIALS)):
+            with pytest.raises(ValueError):
+                subset_lanes(m, start)
 
     def test_counts_by_size(self):
         assert count_by_size(5, lambda ks: np.ones(ks.size, dtype=bool)) == (1, 5, 10, 10, 5, 1)

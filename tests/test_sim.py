@@ -109,7 +109,9 @@ class TestExactAverageError:
     def test_matches_per_set_loop(self):
         rng = np.random.default_rng(45)
         cases = [(int(rng.integers(1, 9)), int(rng.integers(0, 7))) for _ in range(25)]
-        for n, T in cases + [(13, 6)]:  # 2^13 sets span two blocks
+        # With T < n, (13, 6) walks 2^6 outcomes; with T >= n, the 2^13 sets of
+        # (13, 14) span two blocks of the set walk.
+        for n, T in cases + [(13, 6), (13, 14)]:
             d = helpers.random_messy_design(rng, n, T) if T else TestDesign(n=n, row_masks=())
             for p in (0.2, 0.5, 0.8):
                 for decoder in DecoderId:
@@ -134,6 +136,14 @@ class TestExactAverageError:
                 for decoder in DecoderId:
                     got = exact_average_error(d, Prior(p), decoder)
                     assert got == helpers.exact_error_reference(d, p, decoder)
+
+    def test_outcome_walk_of_four_blocks(self):
+        # 2^14 outcomes: blocks whose lanes take bits 12 and 13 from the block index.
+        d = helpers.random_messy_design(np.random.default_rng(48), 15, 14)
+        for p in (0.2, 0.8):
+            for decoder in (DecoderId.COMP, DecoderId.DD):
+                got = exact_average_error(d, Prior(p), decoder)
+                assert got == helpers.exact_error_reference(d, p, decoder)
 
     def test_walk_chosen_by_shape(self, monkeypatch):
         # With T < n the front end gets all 2^T outcomes, in lanes of 64
