@@ -13,10 +13,7 @@ from .decode import (
 )
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import (
-    BLOCK_TRIALS, Prior, count_by_size, fold_lanes, from_lanes, subset_blocks, subset_lanes,
-    to_lanes,
-)
+from .model import BLOCK_TRIALS, Prior, fold_lanes, from_lanes, subset_lanes, to_lanes
 
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
@@ -145,12 +142,14 @@ def _map_block(design: TestDesign, prior: Prior):
     Like `dd_block`, it returns the estimates' lanes (n x W), and it starts
     from DD's: a trial whose estimate reproduces its outcome keeps it, since
     `map_mask` returns that set there (DD's set is its forced set and leaves
-    no positive test to cover).  Only the other trials leave the lanes, and
-    each of their distinct outcomes is decoded once across all calls, through
-    one cache keyed by the packed outcome.  One new to the cache that one item
-    completes takes DD's set and the lowest such item (`_lowest_completions`),
-    the smallest hitting set with the smallest bitmask, which `map_mask`
-    returns; the rest go through `decode_mask`.
+    no positive test to cover).  So does a trial whose COMP survivors do not
+    reproduce its outcome: no set produces that outcome, and DD's estimate,
+    like any set, does not reproduce it.  Only the other trials leave the
+    lanes, and each of their distinct outcomes is decoded once across all
+    calls, through one cache keyed by the packed outcome.  One new to the
+    cache that one item completes takes DD's set and the lowest such item
+    (`_lowest_completions`), the smallest hitting set with the smallest
+    bitmask, which `map_mask` returns; the rest go through `decode_mask`.
     """
     nbytes = (design.n + 7) // 8
     cache: dict[bytes, bytes] = {}
@@ -159,6 +158,9 @@ def _map_block(design: TestDesign, prior: Prior):
         estimates = dd_block(design, positive)
         images = _or_channel(design, estimates)
         flagged = np.flatnonzero(_differs(images, positive, s))
+        if len(flagged):
+            produced = ~_differs(_or_channel(design, comp_block(design, positive)), positive, s)
+            flagged = flagged[produced[flagged]]
         if not len(flagged):
             return estimates
         trials = from_lanes(positive, s)[flagged]
@@ -171,12 +173,10 @@ def _map_block(design: TestDesign, prior: Prior):
         if new:
             outcomes, pick = trials[first[new]], flagged[first[new]]
             found = decoded[pick]
-            items = np.full(len(new), -1)
-            if design.n:  # with no items, argmax has nothing to pick
-                uncovered = outcomes & ~from_lanes(images, s)[pick]
-                items = _lowest_completions(design, outcomes, uncovered)
-                done = np.flatnonzero(items >= 0)
-                found[done, items[done]] = True
+            uncovered = outcomes & ~from_lanes(images, s)[pick]
+            items = _lowest_completions(design, outcomes, uncovered)
+            done = np.flatnonzero(items >= 0)
+            found[done, items[done]] = True
             found = np.packbits(found, axis=1, bitorder="little")
             for k, item, row in zip(new, items.tolist(), found):
                 if item < 0:
@@ -195,25 +195,26 @@ def _map_block(design: TestDesign, prior: Prior):
 def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
     """Return ``decode(positive, s)``: the decoder on a block of s outcomes in lanes, T x W to n x W.
 
-    COMP and DD decode by word operations over the incidence lists
-    (`comp_block`, `dd_block`).  MAP checks its item budget at once; for p > 1/2
-    it decodes as COMP, since a block decoder is only given outcomes some set
-    produces, where `map_mask` returns the COMP survivors, and for p <= 1/2
-    through its outcome cache (`_map_block`).
+    Any outcome may be given; on one that no set produces, the estimate's
+    channel image differs from it, as no set reproduces it.  COMP and DD
+    decode by word operations over the incidence lists (`comp_block`,
+    `dd_block`).  MAP checks its item budget at once; for p > 1/2 it decodes
+    as COMP, since `map_mask` returns the COMP survivors of every outcome some
+    set produces, and for p <= 1/2 through its outcome cache (`_map_block`).
     """
     if decoder is DecoderId.MAP:
         _check_map_budget(design.n)
-    decoder = _block_decoder_id(prior, decoder)
-    if decoder is DecoderId.MAP:
-        return _map_block(design, prior)
+        if prior.p <= 0.5:
+            return _map_block(design, prior)
+        decoder = DecoderId.COMP
     block = comp_block if decoder is DecoderId.COMP else dd_block
     return lambda positive, s: block(design, positive)
 
 
-def _block_decoder_id(prior: Prior, decoder: DecoderId) -> DecoderId:
-    """The decoder whose block kernel decodes blocks for ``decoder``: MAP's for
-    p <= 1/2, and COMP's for MAP above 1/2 (see `_block_decoder`)."""
-    return DecoderId.COMP if decoder is DecoderId.MAP and prior.p > 0.5 else decoder
+def _misses(design: TestDesign, decode_block, sets: np.ndarray, s: int) -> np.ndarray:
+    """One flag for each of the s defective sets in lanes (n x W): whether
+    ``decode_block`` does not return the set from its outcome."""
+    return _differs(decode_block(_or_channel(design, sets), s), sets, s)
 
 
 def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
@@ -224,42 +225,35 @@ def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
     outcomes at once (`_block_decoder`).
     """
     decode_block = _block_decoder(design, prior, decoder)
-    return lambda sets, s: _differs(decode_block(_or_channel(design, sets), s), sets, s)
-
-
-def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
-    """The boolean rows of a block of uint32 bitmasks: entry (r, i) is bit i of mask r."""
-    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, count=width, bitorder="little")
-    return bits.view(bool)
+    return lambda sets, s: _misses(design, decode_block, sets, s)
 
 
 def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> list[int]:
-    """Count, by size, the defective sets the decoder gets right, walking the 2^T outcomes.
+    """Count, by size, the defective sets the decoder gets right, in one walk of 2^m blocks.
 
-    A set K is decoded right exactly when K is the estimate of some outcome y
-    and the channel maps that estimate back to y, so each outcome adds at most
-    one set.  Each block of outcomes is built in lanes (`subset_lanes`) and
-    decoded by COMP first; an outcome that COMP's estimate does not reproduce
-    is in no set's image and is dropped.  COMP, and MAP above 1/2, keep
-    COMP's estimates of the rest; DD and MAP at p <= 1/2 decode them anew,
-    packed from their bitmasks.  Each estimate's size is the sum over the
-    items of its bits, unpacked along the trial axis.
+    With m = T < n the walk is over the outcomes: each block of them is built
+    in lanes (`subset_lanes`) and decoded whole, and an estimate is right
+    where the channel maps it back to its outcome.  A set K is decoded right
+    exactly when it is the estimate of some outcome y that it reproduces, so
+    each outcome adds at most one set, and one that no set produces adds
+    none.  Otherwise m = n and the walk is over the sets, each right where
+    the decoder returns it from its outcome (`_misses`).  Each right set's
+    size is the sum over the items of its bits, unpacked along the trial axis.
     """
     n, T = design.n, design.T
+    m = min(n, T)
     decode_block = _block_decoder(design, prior, decoder)
     success = np.zeros(n + 1, dtype=np.int64)
-    for ys in subset_blocks(T):
-        s = len(ys)
-        positive = subset_lanes(T, int(ys[0]))
-        estimates = comp_block(design, positive)
-        right = ~_differs(_or_channel(design, estimates), positive, s)
-        if _block_decoder_id(prior, decoder) is not DecoderId.COMP:
-            ys = ys[right]
-            s = len(ys)
-            positive = to_lanes(_bit_rows(ys, T))
-            estimates = decode_block(positive, s)
-            right = ~_differs(_or_channel(design, estimates), positive, s)
-        bits = np.unpackbits(estimates.view(np.uint8), axis=1, count=s, bitorder="little")
+    for start in range(0, 1 << m, BLOCK_TRIALS):
+        s = min(BLOCK_TRIALS, (1 << m) - start)
+        lanes = subset_lanes(m, start)
+        if T < n:
+            sets = decode_block(lanes, s)
+            right = ~_differs(_or_channel(design, sets), lanes, s)
+        else:
+            sets = lanes
+            right = ~_misses(design, decode_block, sets, s)
+        bits = np.unpackbits(sets.view(np.uint8), axis=1, count=s, bitorder="little")
         sizes = bits.sum(axis=0, dtype=np.uint8)  # n is within EXACT_ITEM_BUDGET, far below 256
         success += np.bincount(sizes[right], minlength=n + 1)
     return success.tolist()
@@ -268,22 +262,17 @@ def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> lis
 def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) -> float:
     """Exact prior-weighted error probability, from integer error counts by set size.
 
-    With fewer tests than items the 2^T outcomes are walked
-    (`_success_counts`), and the errors of size j are the C(n, j) sets of that
-    size less the successes; otherwise the 2^n defective sets are walked by
-    `count_by_size`.  Both walks give the same integers.
+    One walk (`_success_counts`) counts the successes by size, over the 2^T
+    outcomes when T < n and over the 2^n sets otherwise; the errors of size j
+    are the C(n, j) sets of that size less the successes.
     """
     budget = EXACT_ITEM_BUDGET[decoder]
     if design.n > budget:
         raise BudgetExceededError(
             f"exact error with {decoder.value} is limited to {budget} items; n = {design.n}"
         )
-    n = design.n
-    if design.T < n:
-        success = _success_counts(design, prior, decoder)
-        return prior.probability([math.comb(n, j) - s for j, s in enumerate(success)])
-    wrong = _error_tally(design, prior, decoder)
-    return prior.probability(count_by_size(n, lambda ks: wrong(subset_lanes(n, int(ks[0])), len(ks))))
+    success = _success_counts(design, prior, decoder)
+    return prior.probability([math.comb(design.n, j) - s for j, s in enumerate(success)])
 
 
 def _draw_lanes(bitgen: np.random.BitGenerator, p: float, n: int, s: int) -> np.ndarray:

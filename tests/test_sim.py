@@ -15,6 +15,7 @@ from pooltest import (
     DecoderId,
     DefectiveSet,
     InconsistentOutcomeError,
+    OutcomeVector,
     Prior,
     SimResult,
     TestDesign,
@@ -34,13 +35,17 @@ from pooltest import (
     wilson_interval,
 )
 from pooltest import sim
-from pooltest.decode import decode_mask
+from pooltest.decode import decode, decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 from pooltest.model import from_lanes, to_lanes
 
 import helpers
 
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
+# Eleven tests over 12 items, the first eight in equal pairs, so that only 76
+# of the 2^11 outcomes are images of a set.
+DOUBLED_TESTS = [{0, 1, 2}, {0, 1, 2}, {2, 3, 4}, {2, 3, 4}, {4, 5, 6}, {4, 5, 6}, {6, 7, 0},
+                 {6, 7, 0}, {1, 8}, {8, 9}, {9, 3}]
 
 
 class TestWilson:
@@ -145,64 +150,45 @@ class TestExactAverageError:
                 got = exact_average_error(d, Prior(p), decoder)
                 assert got == helpers.exact_error_reference(d, p, decoder)
 
-    def test_walk_chosen_by_shape(self, monkeypatch):
-        # With T < n the front end gets all 2^T outcomes, in lanes of 64
-        # trials a word, which 2^6 outcomes fill; DD and MAP decode exactly
-        # the outcomes some set produces, and COMP decodes none.  With T >= n
-        # the block decoder sees all 2^n sets.
-        front, decoded = [], []
-        comp, choose = sim.comp_block, sim._block_decoder
-
-        def recording_comp(design, positive):
-            front.append(64 * positive.shape[1])
-            return comp(design, positive)
+    def test_block_decoder_gets_every_block_whole(self, monkeypatch):
+        # One walk: with T < n the block decoder gets all 2^T outcomes, images
+        # or not, and with T >= n the outcomes of all 2^n sets, in order, one
+        # call per block of BLOCK_TRIALS.  Both designs span two blocks.
+        choose, calls = sim._block_decoder, []
 
         def recording_choose(*args):
             decode_block = choose(*args)
 
             def recorded(positive, s):
-                decoded.append(s)
+                calls.append(from_lanes(positive, s))
                 return decode_block(positive, s)
 
             return recorded
 
-        monkeypatch.setattr(sim, "comp_block", recording_comp)
         monkeypatch.setattr(sim, "_block_decoder", recording_choose)
-        few = new_design([{0, 1, 2}, {2, 3}, {4, 5, 6}, {6, 7, 8}, {8, 9}, {1, 9}], 10)
-        many = new_design([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}], 5)
-        images = {helpers.outcome_signature(few, k) for k in range(1 << few.n)}
-        assert len(images) < 1 << few.T
-        for decoder in DecoderId:
-            front.clear()
-            decoded.clear()
-            exact_average_error(few, Prior(0.3), decoder)
-            assert front == [1 << few.T]
-            # DD and MAP decode exactly the outcomes some set produces.
-            assert sum(decoded) == (0 if decoder is DecoderId.COMP else len(images))
-            decoded.clear()
-            exact_average_error(many, Prior(0.3), decoder)
-            assert decoded == [1 << many.n]
-
-    def test_one_comp_pass_per_block(self, monkeypatch):
-        # Each block of outcomes goes through comp_block once: MAP above 1/2,
-        # whose block decoder is comp_block, keeps that pass as COMP does, and
-        # DD and MAP at 1/2 and below decode by their own kernels.  The 2^13
-        # outcomes are two blocks.
-        d = new_design(
+        few = new_design(
             [{0, 1, 2}, {3, 4}, {5, 6, 7}, {0, 8}, {9, 10}, {11, 12}, {1, 13}, {2, 3},
              {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}], 14)
-        comp, calls = sim.comp_block, []
+        many = helpers.random_messy_design(np.random.default_rng(46), 13, 13)
+        sets_outcomes = [helpers.outcome_signature(many, k) for k in range(1 << many.n)]
+        for d, sigs in ((few, range(1 << few.T)), (many, sets_outcomes)):
+            expected = np.array(sigs)[:, None] >> np.arange(d.T) & 1 == 1
+            for decoder in DecoderId:
+                for p in (0.3, 0.7):
+                    calls.clear()
+                    exact_average_error(d, Prior(p), decoder)
+                    assert [len(rows) for rows in calls] == [sim.BLOCK_TRIALS] * 2
+                    assert np.array_equal(np.concatenate(calls), expected)
 
-        def counting(design, positive):
-            calls.append(positive.shape[1])
-            return comp(design, positive)
-
-        monkeypatch.setattr(sim, "comp_block", counting)
-        for decoder in DecoderId:
-            for p in (0.3, 0.5, 0.7):
-                calls.clear()
-                exact_average_error(d, Prior(p), decoder)
-                assert calls == [sim.BLOCK_TRIALS // 64] * 2
+    def test_mostly_non_images_match_per_set_loop(self):
+        # The outcome walk hands the block decoders mostly outcomes no set
+        # produces (all but 76 of 2^11), and none may count as a success.
+        d = new_design(DOUBLED_TESTS, 12)
+        assert len({helpers.outcome_signature(d, k) for k in range(1 << d.n)}) == 76
+        for p in (0.2, 0.5, 0.8):
+            for decoder in DecoderId:
+                got = exact_average_error(d, Prior(p), decoder)
+                assert got == helpers.exact_error_reference(d, p, decoder)
 
     def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
         # MAP searches go through the module attribute sim.decode_mask, and
@@ -345,20 +331,37 @@ class TestMapBlock:
                 assert comp != [helpers.map_reference(d, s, 0.5) for s in one_item]
         assert completions > 100
 
-    def test_inconsistent_outcome_reaches_the_search(self):
-        # No item completes an outcome no set produces, so for p <= 1/2
-        # decode_mask raises.  For p > 1/2 the block is COMP's, which returns
-        # such an outcome's survivors; no public call hands it one.
+    def test_outcome_no_set_produces(self, monkeypatch):
+        # Given an outcome no set produces, MAP's block decoder returns a set
+        # that does not reproduce it and never searches it, beside outcomes
+        # some set produces, which decode as map_mask does; the one-outcome
+        # decoder still refuses it.
         cases = [
             (TestDesign(n=0, row_masks=(0,)), [1]),
             (new_design([{0, 1}, {0}, {1}, {2}], 3), [0b1000, 0b1001]),  # test 0 keeps no survivor
+            (new_design(DOUBLED_TESTS, 12), range(1 << len(DOUBLED_TESTS))),
         ]
+        searched = self._record_searches(monkeypatch)
         for d, sigs in cases:
-            for p in (0.1, 0.5):
+            images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
+            others = [sig for sig in sigs if sig not in images]
+            assert others
+            for sig in others:
+                y = OutcomeVector(tuple(bool(sig >> t & 1) for t in range(d.T)))
                 with pytest.raises(InconsistentOutcomeError):
-                    self._decode_outcomes(self._map_decoder(d, p), d, sigs)
-            got = self._decode_outcomes(self._map_decoder(d, 0.7), d, sigs)
-            assert got == [helpers.comp_reference(d, sig) for sig in sigs]
+                    decode(d, y, DecoderId.MAP, Prior(0.5))
+            for p in (0.1, 0.5, 0.7):
+                searched.clear()
+                decode_block = self._map_decoder(d, p)
+                for _ in range(2):  # the second call is served from the cache
+                    got = self._decode_outcomes(decode_block, d, sigs)
+                    for sig, estimate in zip(sigs, got):
+                        if sig in images:
+                            assert estimate == helpers.map_reference(d, sig, p)
+                        else:
+                            assert helpers.outcome_signature(d, estimate) != sig
+                needed = [sig for sig in sigs if sig in images and helpers.map_search_needed(d, sig)]
+                assert sorted(searched) == (needed if p <= 0.5 else [])
 
     def test_above_half_is_comp_block(self, monkeypatch):
         # For p > 1/2 MAP's block decoder returns comp_block's lanes on
