@@ -57,7 +57,7 @@ def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     return fold_lanes(positive, design.incidence.item_tests, np.bitwise_and)
 
 
-def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
+def dd_block(design: TestDesign, positive: np.ndarray, survivors: np.ndarray | None = None) -> np.ndarray:
     """DD on a block of outcomes held in bit lanes, one row per test (T x W uint64).
 
     Returns the lanes of the estimates, one row per item (n x W): the COMP
@@ -65,10 +65,12 @@ def dd_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     ORs its survivors' lanes into ``once``, and into ``twice`` where ``once``
     was already set, so ``once & ~twice`` marks the trials in which it holds
     exactly one survivor; a negative test holds none.  Trial r equals
-    `decode_mask` with DD of trial r's outcome.
+    `decode_mask` with DD of trial r's outcome.  A caller that already holds
+    the block's `comp_block` lanes passes them as ``survivors``.
     """
     test_items, item_tests = design.incidence
-    survivors = comp_block(design, positive)
+    if survivors is None:
+        survivors = comp_block(design, positive)
     columns = lane_columns(survivors, test_items, 0)
     once = next(columns)
     twice = np.zeros_like(once)

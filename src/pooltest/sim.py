@@ -155,11 +155,12 @@ def _map_block(design: TestDesign, prior: Prior):
     cache: dict[bytes, bytes] = {}
 
     def decode(positive: np.ndarray, s: int) -> np.ndarray:
-        estimates = dd_block(design, positive)
+        survivors = comp_block(design, positive)
+        estimates = dd_block(design, positive, survivors)
         images = _or_channel(design, estimates)
         flagged = np.flatnonzero(_differs(images, positive, s))
         if len(flagged):
-            produced = ~_differs(_or_channel(design, comp_block(design, positive)), positive, s)
+            produced = ~_differs(_or_channel(design, survivors), positive, s)
             flagged = flagged[produced[flagged]]
         if not len(flagged):
             return estimates

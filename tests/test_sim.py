@@ -34,7 +34,7 @@ from pooltest import (
     verify_theorem,
     wilson_interval,
 )
-from pooltest import sim
+from pooltest import decode as decode_module, sim
 from pooltest.decode import decode, decode_mask
 from pooltest.disguise import CO_ITEM_BUDGET
 from pooltest.model import from_lanes, to_lanes
@@ -179,6 +179,56 @@ class TestExactAverageError:
                     exact_average_error(d, Prior(p), decoder)
                     assert [len(rows) for rows in calls] == [sim.BLOCK_TRIALS] * 2
                     assert np.array_equal(np.concatenate(calls), expected)
+
+    def test_walk_chosen_by_shape(self, monkeypatch):
+        # With T < n the block decoder gets all 2^T outcomes, images or not,
+        # though some are none; with T >= n it gets the outcomes of all 2^n
+        # sets.  Each design fits in one block.
+        choose, decoded = sim._block_decoder, []
+
+        def recording_choose(*args):
+            decode_block = choose(*args)
+
+            def recorded(positive, s):
+                decoded.append(s)
+                return decode_block(positive, s)
+
+            return recorded
+
+        monkeypatch.setattr(sim, "_block_decoder", recording_choose)
+        few = new_design([{0, 1, 2}, {2, 3}, {4, 5, 6}, {6, 7, 8}, {8, 9}, {1, 9}], 10)
+        many = new_design([{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}], 5)
+        images = {helpers.outcome_signature(few, k) for k in range(1 << few.n)}
+        assert len(images) < 1 << few.T
+        for decoder in DecoderId:
+            decoded.clear()
+            exact_average_error(few, Prior(0.3), decoder)
+            assert decoded == [1 << few.T]
+            decoded.clear()
+            exact_average_error(many, Prior(0.3), decoder)
+            assert decoded == [1 << many.n]
+
+    def test_one_comp_pass_per_block(self, monkeypatch):
+        # Each block of outcomes goes through comp_block once, whichever the
+        # decoder: DD takes its survivors from that pass, and MAP at 1/2 and
+        # below hands them to DD and checks against them which outcomes some
+        # set produces.  The 2^13 outcomes are two blocks.
+        d = new_design(
+            [{0, 1, 2}, {3, 4}, {5, 6, 7}, {0, 8}, {9, 10}, {11, 12}, {1, 13}, {2, 3},
+             {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}], 14)
+        comp, calls = sim.comp_block, []
+
+        def counting(design, positive):
+            calls.append(positive.shape[1])
+            return comp(design, positive)
+
+        monkeypatch.setattr(sim, "comp_block", counting)
+        monkeypatch.setattr(decode_module, "comp_block", counting)
+        for decoder in DecoderId:
+            for p in (0.3, 0.5, 0.7):
+                calls.clear()
+                exact_average_error(d, Prior(p), decoder)
+                assert calls == [sim.BLOCK_TRIALS // 64] * 2
 
     def test_mostly_non_images_match_per_set_loop(self):
         # The outcome walk hands the block decoders mostly outcomes no set
