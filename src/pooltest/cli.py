@@ -203,10 +203,7 @@ def _cmd_figure(args) -> int:
 def _cmd_disguise(args) -> int:
     d = _read_design(args.design)
     prior = Prior(args.p)
-    if args.exact_budget < 0:
-        raise ValueError(f"exact-budget must be nonnegative, got {args.exact_budget}")
-    budget = args.exact_budget or None
-    report = disguise_mod.mean_log_bound(d, prior, exact_budget=budget)
+    report = disguise_mod.mean_log_bound(d, prior, exact_budget=args.exact_budget or None)
     if args.json:
         _print_report(report, True)
         return 0

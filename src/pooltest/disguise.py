@@ -4,9 +4,10 @@ An item is disguised in a test when some *other* member of that test is
 defective, and totally disguised when that holds for every test containing
 it; a totally disguised item's own status leaves no trace in the outcomes.
 The exact probability comes from counting, by size, the defectivity patterns
-of the item's co-items that disguise it: by inclusion-exclusion over the
-item's own tests, or by walking every pattern when its minimal own-test
-co-sets outnumber its co-items.
+of the item's co-items that disguise it, for every item of a design in one
+batched pass (`_pattern_counts`): by inclusion-exclusion over the item's own
+tests, or by walking every pattern when its minimal own-test co-sets
+outnumber its co-items.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .design import TestDesign, _bit_positions, _reindex_masks
+from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import Prior, count_by_size, subset_blocks
+from .model import CHUNK_ELEMENTS, Prior, count_by_size
 
 CO_ITEM_BUDGET = 25
+# Fills a slot of a row of co-set masks that holds no co-set.  Above every
+# mask over at most CO_ITEM_BUDGET co-items, so it sorts after them and holds
+# none of them.
+_NO_SET = np.uint32(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -58,18 +63,29 @@ def _check_item(design: TestDesign, i: int) -> None:
         raise ValueError(f"item index {i} outside [0, {design.n})")
 
 
-def _own_tests(design: TestDesign, i: int) -> list[int]:
-    """The tests holding item ``i``, in increasing order, from the design's incidence lists."""
-    return [t for t in design.incidence.item_tests[i].tolist() if t < design.T]
-
-
 def co_items(design: TestDesign, i: int) -> tuple[int, ...]:
     """Items sharing at least one test with item ``i``."""
     _check_item(design, i)
-    union = 0
-    for t in _own_tests(design, i):
-        union |= design.row_masks[t]
-    return _bit_positions(union & ~(1 << i))
+    inc = design.incidence
+    own = inc.item_tests[i]
+    found = np.zeros(design.n + 1, dtype=bool)
+    found[inc.test_items[own[own < design.T]]] = True
+    found[[i, design.n]] = False
+    return tuple(np.flatnonzero(found).tolist())
+
+
+def _log_bounds(design: TestDesign, prior: Prior, items: np.ndarray) -> list[float]:
+    """Each item's log product bound: ln(1 - q^(w-1)) summed over its own tests.
+
+    The terms are added one column of `item_tests` at a time, so each item's
+    tests in increasing order, from 0.0; the padding test T adds 0.0, which
+    changes no sum.  Each sum is the float a per-item loop would give.
+    """
+    per_test = np.array([bounds._log_disguise_term(prior, w) for w in design.weights] + [0.0])
+    total = np.zeros(len(items))
+    for column in design.incidence.item_tests[items].T:
+        total += per_test[column]
+    return total.tolist()
 
 
 def disguise_bound(design: TestDesign, i: int, prior: Prior) -> tuple[float, float]:
@@ -81,68 +97,97 @@ def disguise_bound(design: TestDesign, i: int, prior: Prior) -> tuple[float, flo
     weight-1 test contributes ln(0) = -inf, i.e. a bound of exactly 0.
     """
     _check_item(design, i)
-    total = 0.0
-    for t in _own_tests(design, i):
-        total += bounds._log_disguise_term(prior, design.weights[t])
+    (total,) = _log_bounds(design, prior, np.array([i]))
     return total, math.exp(total)
 
 
-def _minimal_sets(masks: list[int]) -> list[int]:
-    """The distinct masks that contain no other mask of the list."""
-    minimal: list[int] = []
-    for mask in sorted(set(masks), key=int.bit_count):
-        if all(kept & ~mask for kept in minimal):
-            minimal.append(mask)
-    return minimal
+def _co_sets(members: np.ndarray, tests: np.ndarray, items: np.ndarray, budget: int):
+    """The rows of ``items`` with at most ``budget`` co-items, their co-item
+    counts m, and their own-test co-sets as uint32 masks over the ranks of
+    their co-items (`_NO_SET` for a padding test).
 
-
-def _inclusion_exclusion_counts(m: int, sets: list[int]) -> tuple[int, ...]:
-    """Count, by size j, the subsets of m items that meet every one of ``sets``.
-
-    The subsets missing all of the sets in A number C(m - |union A|, j), so
-    the count is the sum over every A of (-1)^|A| C(m - |union A|, j).  The
-    2^len(sets) choices of A are walked as bitmasks by `subset_blocks` and
-    histogrammed by the parity of |A| and by |union A|; the binomials are
-    then applied in exact integers.
+    Row r of ``tests`` lists the own tests of item ``items[r]``, padded with
+    T, the last row of ``members``; the gather ``members[tests]`` lists their
+    members, padded with n.  Each row's members, less the item itself, are
+    sorted with the rows kept apart, and a co-item's rank is the number of
+    distinct co-items before its first position in the sorted row.
     """
-    hist = np.zeros(2 * (m + 1), dtype=np.int64)
-    for choices in subset_blocks(len(sets)):
-        union = np.zeros(choices.size, dtype="<u4")
-        for t, s in enumerate(sets):
-            union |= s * (choices >> t & 1)
-        parity = np.bitwise_count(choices) & 1
-        hist += np.bincount(parity * (m + 1) + np.bitwise_count(union), minlength=2 * (m + 1))
-    by_union = hist.tolist()
-    counts = [0] * (m + 1)
-    for u, (even, odd) in enumerate(zip(by_union[: m + 1], by_union[m + 1 :])):
-        if even != odd:
-            for j in range(m - u + 1):
-                counts[j] += (even - odd) * math.comb(m - u, j)
-    return tuple(counts)
+    T, n = len(members) - 1, int(members[-1, 0])
+    gathered = members[tests]
+    gathered[gathered == items[:, None, None]] = n
+    flat = gathered.reshape(len(items), -1)
+    keys = np.arange(len(items))[:, None] * (n + 1) + flat
+    ordered = np.sort(keys, axis=None)
+    distinct = np.empty(ordered.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    distinct &= ordered % (n + 1) < n
+    before = (np.cumsum(distinct) - distinct).reshape(flat.shape)
+    m = distinct.reshape(flat.shape).sum(axis=1)
+    fit = np.flatnonzero(m <= budget)
+    rank = before.ravel()[np.searchsorted(ordered, keys[fit])] - before[fit, :1]
+    bits = np.where(flat[fit] < n, np.uint32(1) << rank.astype(np.uint32), np.uint32(0))
+    sets = np.bitwise_or.reduce(bits.reshape(*tests[fit].shape, members.shape[1]), axis=2)
+    sets[tests[fit] == T] = _NO_SET
+    return fit, m[fit], sets
 
 
-def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
-    """Count, by defective count j, the co-item patterns that totally disguise i.
+def _minimal_co_sets(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distinct minimal co-sets (masks containing no other mask of
+    the row), in increasing order and then `_NO_SET`, and their number d'."""
+    sets = np.sort(sets, axis=1)
+    sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = _NO_SET
+    inner = np.zeros(sets.shape, dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // max(sets.size, 1))
+    for lo in range(0, sets.shape[1], step):
+        smaller = sets[:, None, lo:lo + step]
+        within = (smaller & ~sets[:, :, None]) == 0
+        inner |= (within & (smaller != sets[:, :, None])).any(axis=2)
+    sets[inner] = _NO_SET
+    sets.sort(axis=1)
+    return sets, (sets != _NO_SET).sum(axis=1)
 
-    Only the m items sharing a test with item i can affect the event, which
-    holds when every test containing i holds a defective other than i, that
-    is, when the pattern meets each test's co-set (the test without i).  A
-    co-set containing another is met whenever the smaller one is, so only the
-    d' distinct minimal co-sets matter.  When d' < m the counts come by
-    inclusion-exclusion over those co-sets, 2^d' terms.  Otherwise (more
-    minimal co-sets than co-items, where 2^d' could far exceed 2^m) all 2^m
-    patterns are walked by `count_by_size`.
+
+def _unions(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the unions of the 2^k subsets A of the k columns of ``sets``,
+    and the parity of |A|: doubling, each subset of the first t columns is
+    followed by the same subset with column t added."""
+    unions = np.zeros((len(sets), 1), dtype=np.uint32)
+    odd = np.zeros(1, dtype=np.intp)
+    for column in sets.T:
+        unions = np.hstack([unions, unions | column[:, None]])
+        odd = np.concatenate([odd, odd ^ 1])
+    return unions, odd
+
+
+def _signed_union_sizes(sets: np.ndarray, bins: int) -> np.ndarray:
+    """Row r, column u: the sum of (-1)^|A| over the subsets A of row r's
+    co-sets (the d' columns of ``sets``) whose union has u members.
+
+    No pass holds more than `CHUNK_ELEMENTS` unions: each takes a block of
+    rows with the unions of its low co-sets, and one union of the high ones.
     """
-    co = co_items(design, i)
-    m = len(co)
-    if m > CO_ITEM_BUDGET:
-        raise BudgetExceededError(
-            f"item {i} shares tests with {m} items, over the enumeration budget of {CO_ITEM_BUDGET}"
-        )
-    own_tests = (design.row_masks[t] & ~(1 << i) for t in _own_tests(design, i))
-    sets = _minimal_sets(_reindex_masks(own_tests, co))
-    if len(sets) < m:
-        return _inclusion_exclusion_counts(m, sets)
+    rows, d = sets.shape
+    low = min(d, CHUNK_ELEMENTS.bit_length() - 1)
+    per_pass = max(1, CHUNK_ELEMENTS >> low)
+    out = np.empty((rows, bins), dtype=np.int64)
+    for start in range(0, rows, per_pass):
+        block = sets[start:start + per_pass]
+        low_unions, low_odd = _unions(block[:, :low])
+        high_unions, high_odd = _unions(block[:, low:])
+        offsets = np.arange(len(block))[:, None] * (2 * bins)
+        hist = np.zeros(2 * bins * len(block), dtype=np.int64)
+        for h, odd in enumerate(high_odd.tolist()):
+            sizes = np.bitwise_count(low_unions | high_unions[:, h:h + 1])
+            keys = offsets + (low_odd ^ odd) * bins + sizes
+            hist += np.bincount(keys.ravel(), minlength=hist.size)
+        hist = hist.reshape(len(block), 2, bins)
+        out[start:start + len(block)] = hist[:, 0] - hist[:, 1]
+    return out
+
+
+def _walk(m: int, sets: list[int]) -> tuple[int, ...]:
+    """Count, by size, the 2^m patterns that meet every one of ``sets``."""
 
     def disguised(patterns: np.ndarray) -> np.ndarray:
         ok = np.ones(patterns.size, dtype=bool)
@@ -153,10 +198,71 @@ def _pattern_counts(design: TestDesign, i: int) -> tuple[int, ...]:
     return count_by_size(m, disguised)
 
 
+def _pattern_counts(
+    design: TestDesign, items: np.ndarray, budget: int
+) -> list[tuple[int, ...] | None]:
+    """For each of ``items``, count by defective count j the co-item patterns
+    that totally disguise it; None for an item with more than ``budget`` (at
+    most `CO_ITEM_BUDGET`) co-items.
+
+    Only the m items sharing a test with item i can affect the event, which
+    holds when every test containing i holds a defective other than i, that
+    is, when the pattern meets each test's co-set (the test without i).  A
+    co-set containing another is met whenever the smaller one is, so only the
+    d' distinct minimal co-sets matter.  When d' < m the counts come by
+    inclusion-exclusion, sum over every choice A of co-sets of (-1)^|A|
+    C(m - |union A|, j), 2^d' terms, for all items of one d' together.
+    Otherwise (more minimal co-sets than co-items, where 2^d' could far
+    exceed 2^m) all 2^m patterns are walked by `count_by_size`.
+
+    All items are done at once, each co-set becoming a uint32 mask over the
+    ranks of its item's co-items.  A test of weight w gives each member w - 1
+    co-items, so an item in a test heavier than budget + 1 is skipped before
+    any co-item is gathered.  The other items' own tests are gathered in
+    blocks of at most `CHUNK_ELEMENTS` members; one item always fits, as the
+    design size budget keeps T * n within it.
+    """
+    inc = design.incidence
+    counts: list[tuple[int, ...] | None] = [None] * len(items)
+    tests = inc.item_tests[items]
+    weights = np.array(design.weights + (0,))
+    eligible = np.flatnonzero((weights[tests] <= budget + 1).all(axis=1))
+    width = min(inc.test_items.shape[1], budget + 1)
+    members = np.vstack([inc.test_items[:, :width], np.full((1, width), design.n, dtype=np.int32)])
+    per_pass = max(1, CHUNK_ELEMENTS // (tests.shape[1] * width))
+    for start in range(0, eligible.size, per_pass):
+        block = eligible[start:start + per_pass]
+        fit, m, sets = _co_sets(members, tests[block], items[block], budget)
+        block = block[fit]
+        sets, d = _minimal_co_sets(sets)
+        by_terms = d < m
+        diffs = np.zeros((len(block), budget + 1), dtype=np.int64)
+        for size in set(d[by_terms].tolist()):
+            rows = np.flatnonzero(by_terms & (d == size))
+            diffs[rows] = _signed_union_sizes(sets[rows, :size], budget + 1)
+        for size in set(m[by_terms].tolist()):
+            rows = np.flatnonzero(by_terms & (m == size))
+            binomials = np.array(
+                [[math.comb(size - u, j) for j in range(size + 1)] for u in range(size + 1)],
+                dtype=np.int64,
+            )
+            for r, row in zip(rows.tolist(), (diffs[rows, :size + 1] @ binomials).tolist()):
+                counts[block[r]] = tuple(row)
+        for r in np.flatnonzero(~by_terms).tolist():
+            counts[block[r]] = _walk(int(m[r]), sets[r, :d[r]].tolist())
+    return counts
+
+
 def exact_disguise_prob(design: TestDesign, i: int, prior: Prior) -> float:
     """Exact probability that item i is totally disguised, from exact pattern counts."""
     _check_item(design, i)
-    return prior.probability(_pattern_counts(design, i))
+    (counts,) = _pattern_counts(design, np.array([i]), CO_ITEM_BUDGET)
+    if counts is None:
+        raise BudgetExceededError(
+            f"item {i} shares tests with more than {CO_ITEM_BUDGET} items, "
+            "the enumeration budget"
+        )
+    return prior.probability(counts)
 
 
 def mean_log_bound(
@@ -167,18 +273,26 @@ def mean_log_bound(
     The item-averaged log bound is also recomputed by summing over tests
     (weight w contributes w * ln(1 - q^(w-1))); the two must agree.  When
     ``exact_budget`` is given, items whose co-item count fits the budget also
-    get their exact disguise probability.
+    get their exact disguise probability, all counted in one pass; a negative
+    budget raises ValueError.
     """
+    if exact_budget is not None and exact_budget < 0:
+        raise ValueError(f"exact budget must be nonnegative, got {exact_budget}")
     n = design.n
-    items = []
-    for i in range(n):
-        log_b, fkg_b = disguise_bound(design, i, prior)
-        exact = None
-        if exact_budget is not None and len(co_items(design, i)) <= min(
-            exact_budget, CO_ITEM_BUDGET
-        ):
-            exact = exact_disguise_prob(design, i, prior)
-        items.append(ItemDisguise(item=i, log_bound=log_b, fkg_bound=fkg_b, exact_prob=exact))
+    everyone = np.arange(n)
+    if exact_budget is None:
+        counts = [None] * n
+    else:
+        counts = _pattern_counts(design, everyone, min(exact_budget, CO_ITEM_BUDGET))
+    items = [
+        ItemDisguise(
+            item=i,
+            log_bound=log_b,
+            fkg_bound=math.exp(log_b),
+            exact_prob=None if c is None else prior.probability(c),
+        )
+        for i, (log_b, c) in enumerate(zip(_log_bounds(design, prior, everyone), counts))
+    ]
 
     mean_items = sum(it.log_bound for it in items) / n if n else 0.0
     per_test = [bounds.weight_log_term(prior, w) for w in design.weights if w >= 1]

@@ -13,16 +13,17 @@ from .decode import (
 )
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import BLOCK_TRIALS, Prior, fold_lanes, from_lanes, subset_lanes, to_lanes
+from .model import (
+    BLOCK_TRIALS, CHUNK_ELEMENTS, Prior, fold_lanes, from_lanes, subset_lanes, to_lanes,
+)
 
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
 FLOOR_TOLERANCE = 1e-12
-# Most values (trials x max(n, T)) one decoded chunk may hold, though a chunk
-# holds at least one lane word of 64 trials.  Each block is drawn whole before
+# A decoded chunk holds at most CHUNK_ELEMENTS values (trials x max(n, T)),
+# though at least one lane word of 64 trials.  Each block is drawn whole before
 # chunks slice it in whole lane words, so the draws do not depend on this.
 # Designs with n and T up to 1024 fit a whole block of BLOCK_TRIALS in one chunk.
-CHUNK_ELEMENTS = 1 << 22
 # Lane words one piece of the draw covers.  A piece takes its random words in
 # order, digit by digit, so this fixes the stream; it bounds the draw's
 # temporaries at 512 KiB each, whatever the design size.

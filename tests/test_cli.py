@@ -511,4 +511,4 @@ class TestDisguiseCommand:
         assert run(["disguise", "--design", str(f), "-p", "0.3", "--exact-budget", budget]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: exact-budget must be nonnegative, got {budget}"]
+        assert captured.err.splitlines() == [f"error: exact budget must be nonnegative, got {budget}"]

@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +14,7 @@ from pooltest import (
     BudgetExceededError,
     DisguiseReport,
     Prior,
+    TestDesign,
     co_items,
     disguise_bound,
     exact_disguise_prob,
@@ -24,6 +27,7 @@ from pooltest import (
     to_dict,
 )
 from pooltest import disguise
+from pooltest.disguise import CO_ITEM_BUDGET
 
 import helpers
 
@@ -111,19 +115,21 @@ class TestPatternCounts:
 
     def test_match_per_pattern_reference(self):
         rng = np.random.default_rng(26)
-        cases = [(new_design([], 3), i) for i in range(3)]
-        cases += [(new_design([{0, 1}, {0, 1}, {1, 2}, {0, 1}], 3), i) for i in range(3)]
+        cases = [(new_design([], 3), range(3))]
+        cases += [(new_design([{0, 1}, {0, 1}, {1, 2}, {0, 1}], 3), range(3))]
         for _ in range(40):
             n = int(rng.integers(1, 9))
             d = helpers.random_messy_design(rng, n, int(rng.integers(0, 7)))
-            cases += [(d, i) for i in range(n)]
-        cases += [self.NESTED, self.SOLO, self.UNTESTED, self.PAIRS, self.CHAIN]
-        cases += [(self.REGULAR, i) for i in (0, 71, 143)]
+            cases += [(d, range(n))]
+        named = (self.NESTED, self.SOLO, self.UNTESTED, self.PAIRS, self.CHAIN)
+        cases += [(d, range(d.n)) for d, _ in named]
+        cases += [(self.REGULAR, (0, 71, 143))]
         assert [len(co_items(self.REGULAR, i)) for i in (0, 71, 143)] == [16, 16, 16]
-        for d, i in cases:
-            assert disguise._pattern_counts(d, i) == helpers.disguise_counts_reference(d, i)
-        assert disguise._pattern_counts(*self.SOLO) == (0, 0, 0)
-        assert disguise._pattern_counts(*self.UNTESTED) == (1,)
+        for d, items in cases:
+            expected = [helpers.disguise_counts_reference(d, i) for i in items]
+            assert disguise._pattern_counts(d, np.array(items), CO_ITEM_BUDGET) == expected
+        assert disguise._pattern_counts(self.SOLO[0], np.array([0]), CO_ITEM_BUDGET) == [(0, 0, 0)]
+        assert disguise._pattern_counts(self.UNTESTED[0], np.array([0]), CO_ITEM_BUDGET) == [(1,)]
 
     def test_walk_only_when_minimal_co_sets_outnumber_co_items(self, monkeypatch):
         walked, walk = [], disguise.count_by_size
@@ -134,10 +140,21 @@ class TestPatternCounts:
 
         monkeypatch.setattr(disguise, "count_by_size", recording)
         for d, i in [self.NESTED, self.SOLO, self.CHAIN, (self.REGULAR, 0)]:
-            disguise._pattern_counts(d, i)
+            disguise._pattern_counts(d, np.array([i]), CO_ITEM_BUDGET)
+        disguise._pattern_counts(self.REGULAR, np.arange(self.REGULAR.n), CO_ITEM_BUDGET)
         assert walked == []
-        disguise._pattern_counts(*self.PAIRS)
+        disguise._pattern_counts(self.PAIRS[0], np.array([self.PAIRS[1]]), CO_ITEM_BUDGET)
         assert walked == [4]
+
+    def test_same_counts_in_passes_of_any_size(self, monkeypatch):
+        # CHAIN's 2^14 inclusion-exclusion terms and REGULAR's gather of
+        # 144 x 2 x 9 members, against one pass each
+        designs = [self.CHAIN[0], self.PAIRS[0], self.REGULAR]
+        whole = [disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET) for d in designs]
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(disguise, "CHUNK_ELEMENTS", chunk)
+            for d, counts in zip(designs, whole):
+                assert disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET) == counts
 
     def test_no_reference_kept_to_design(self):
         d = gen_doubly_regular(36, 2, 6, seed=2)
@@ -238,6 +255,80 @@ class TestMeanLogBound:
         for it in with_exact.items:
             assert it.exact_prob >= it.fkg_bound - 1e-12
             assert it.fkg_bound == pytest.approx(math.exp(it.log_bound), rel=1e-12)
+
+    def test_negative_exact_budget_refused(self):
+        d = new_design([{0, 1}, {1, 2}], 3)
+        for budget in (-1, -3):
+            with pytest.raises(ValueError, match=f"exact budget must be nonnegative, got {budget}"):
+                mean_log_bound(d, Prior(0.3), exact_budget=budget)
+
+    def test_exact_column_matches_per_item_and_reference(self):
+        rng = np.random.default_rng(27)
+        designs = [
+            helpers.random_messy_design(rng, int(rng.integers(1, 10)), int(rng.integers(0, 9)))
+            for _ in range(42)
+        ]
+        designs += [d for d, _ in (TestPatternCounts.NESTED, TestPatternCounts.SOLO,
+                                   TestPatternCounts.UNTESTED, TestPatternCounts.PAIRS,
+                                   TestPatternCounts.CHAIN)]
+        designs += [TestDesign(n=0, row_masks=())]
+        # items 0-26 have 26 or 27 co-items; item 27 has exactly 25, in one
+        # test, so its counts are C(25, j) for every j >= 1
+        skip = new_design([set(range(27)), {27, *range(1, 26)}, {28, 29}, {30, 31}], 32)
+        designs += [skip]
+        references = {}
+
+        def reference(d, i):
+            if d is skip and i == 27:
+                return (0,) + tuple(math.comb(25, j) for j in range(1, 26))
+            if (id(d), i) not in references:
+                references[id(d), i] = helpers.disguise_counts_reference(d, i)
+            return references[id(d), i]
+
+        for d in designs:
+            m = [len(co_items(d, i)) for i in range(d.n)]
+            for budget in (0, 3, 20, 25, None):
+                for p in (0.3, 0.8):
+                    prior = Prior(p)
+                    report = mean_log_bound(d, prior, exact_budget=budget)
+                    assert [it.item for it in report.items] == list(range(d.n))
+                    for i, it in enumerate(report.items):
+                        if budget is None or m[i] > min(budget, CO_ITEM_BUDGET):
+                            assert it.exact_prob is None
+                            continue
+                        assert repr(it.exact_prob) == repr(exact_disguise_prob(d, i, prior))
+                        assert repr(it.exact_prob) == repr(prior.probability(reference(d, i)))
+        assert [len(co_items(skip, i)) for i in (26, 27)] == [26, CO_ITEM_BUDGET]
+
+    def test_no_per_item_calls(self, monkeypatch):
+        calls = []
+        for name in ("co_items", "disguise_bound", "exact_disguise_prob"):
+            original = getattr(disguise, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(disguise, name, counted)
+        report = mean_log_bound(TestPatternCounts.REGULAR, Prior(0.3), exact_budget=25)
+        assert all(it.exact_prob is not None for it in report.items)
+        assert calls == []
+
+    def test_heavy_test_skipped_before_co_items(self):
+        # one all-items test and n/2 pair tests: every item has n - 1 co-items
+        n = 2048
+        d = new_design([set(range(n))] + [{2 * k, 2 * k + 1} for k in range(n // 2)], n)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = mean_log_bound(d, Prior(0.3), exact_budget=25)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(it.exact_prob is None for it in report.items)
+        assert elapsed < 2.0
+        assert peak < 16 * 2**20
 
     def test_json_round_trip_with_infinities(self):
         report = mean_log_bound(gen_individual(2), Prior(0.4), exact_budget=25)
