@@ -6,12 +6,13 @@ it; a totally disguised item's own status leaves no trace in the outcomes.
 The exact probability comes from counting, by size, the defectivity patterns
 of the item's co-items that disguise it, for every item of a design in one
 batched pass (`_pattern_counts`): by inclusion-exclusion over the item's own
-tests, or by walking every pattern when its minimal own-test co-sets
-outnumber its co-items.
+tests, or by walking every pattern, all items of one co-item count together,
+when its minimal own-test co-sets outnumber its co-items.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import bounds
 from .design import TestDesign
 from .errors import BudgetExceededError
-from .model import CHUNK_ELEMENTS, Prior, count_by_size
+from .model import CHUNK_ELEMENTS, Prior
 
 CO_ITEM_BUDGET = 25
 # Fills a slot of a row of co-set masks that holds no co-set.  Above every
@@ -186,16 +187,38 @@ def _signed_union_sizes(sets: np.ndarray, bins: int) -> np.ndarray:
     return out
 
 
-def _walk(m: int, sets: list[int]) -> tuple[int, ...]:
-    """Count, by size, the 2^m patterns that meet every one of ``sets``."""
+def _walk(sets: np.ndarray, m: int) -> np.ndarray:
+    """Row r, column j: how many of the 2^m patterns of j of m co-items meet
+    every co-set of row r of ``sets`` (a `_NO_SET` slot is no co-set).
 
-    def disguised(patterns: np.ndarray) -> np.ndarray:
-        ok = np.ones(patterns.size, dtype=bool)
-        for sub in sets:
-            ok &= (patterns & sub) != 0
-        return ok
+    No pass holds more than `CHUNK_ELEMENTS` values: each tests a block of
+    at most `CHUNK_ELEMENTS` // rows patterns against every row, and one
+    offset `bincount` tallies the patterns that meet them.
+    """
+    rows = len(sets)
+    step = max(1, CHUNK_ELEMENTS // max(rows, 1))
+    offsets = np.arange(rows)[:, None] * (m + 1)
+    counts = np.zeros(rows * (m + 1), dtype=np.int64)
+    for start in range(0, 1 << m, step):
+        patterns = np.arange(start, min(start + step, 1 << m), dtype=np.uint32)
+        met = np.ones((rows, patterns.size), dtype=bool)
+        for column in sets.T[:, :, None]:
+            met &= ((patterns & column) != 0) | (column == _NO_SET)
+        keys = offsets + np.bitwise_count(patterns)
+        counts += np.bincount(keys[met], minlength=counts.size)
+    return counts.reshape(rows, m + 1)
 
-    return count_by_size(m, disguised)
+
+@functools.cache
+def _binomials() -> np.ndarray:
+    """C(a, j) for a, j up to `CO_ITEM_BUDGET` (0 for j > a), read-only and
+    built on first use."""
+    table = np.array(
+        [[math.comb(a, j) for j in range(CO_ITEM_BUDGET + 1)] for a in range(CO_ITEM_BUDGET + 1)],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
 
 
 def _pattern_counts(
@@ -213,7 +236,8 @@ def _pattern_counts(
     inclusion-exclusion, sum over every choice A of co-sets of (-1)^|A|
     C(m - |union A|, j), 2^d' terms, for all items of one d' together.
     Otherwise (more minimal co-sets than co-items, where 2^d' could far
-    exceed 2^m) all 2^m patterns are walked by `count_by_size`.
+    exceed 2^m) all 2^m patterns are walked by `_walk`, for all items of one
+    m together.  Both methods fill one table of counts per block.
 
     All items are done at once, each co-set becoming a uint32 mask over the
     ranks of its item's co-items.  A test of weight w gives each member w - 1
@@ -236,20 +260,18 @@ def _pattern_counts(
         block = block[fit]
         sets, d = _minimal_co_sets(sets)
         by_terms = d < m
-        diffs = np.zeros((len(block), budget + 1), dtype=np.int64)
+        table = np.zeros((len(block), budget + 1), dtype=np.int64)
         for size in set(d[by_terms].tolist()):
             rows = np.flatnonzero(by_terms & (d == size))
-            diffs[rows] = _signed_union_sizes(sets[rows, :size], budget + 1)
+            table[rows] = _signed_union_sizes(sets[rows, :size], budget + 1)
         for size in set(m[by_terms].tolist()):
             rows = np.flatnonzero(by_terms & (m == size))
-            binomials = np.array(
-                [[math.comb(size - u, j) for j in range(size + 1)] for u in range(size + 1)],
-                dtype=np.int64,
-            )
-            for r, row in zip(rows.tolist(), (diffs[rows, :size + 1] @ binomials).tolist()):
-                counts[block[r]] = tuple(row)
-        for r in np.flatnonzero(~by_terms).tolist():
-            counts[block[r]] = _walk(int(m[r]), sets[r, :d[r]].tolist())
+            table[rows, :size + 1] = table[rows, :size + 1] @ _binomials()[size::-1, :size + 1]
+        for size in set(m[~by_terms].tolist()):
+            rows = np.flatnonzero(~by_terms & (m == size))
+            table[rows, :size + 1] = _walk(sets[rows, :d[rows].max()], size)
+        for i, row, size in zip(block.tolist(), table.tolist(), m.tolist()):
+            counts[i] = tuple(row[:size + 1])
     return counts
 
 

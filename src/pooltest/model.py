@@ -1,4 +1,4 @@
-"""Defectivity prior, defective sets, the OR test channel, subset counting, and bit lanes.
+"""Defectivity prior, defective sets, the OR test channel, and bit lanes of trials and subsets.
 
 A block of s trials is held in bit lanes: a k x ceil(s/64) uint64 array whose
 row r belongs to one item (or test) and whose bit b of word w is trial
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .design import TestDesign, _bit_positions, _mask_from_indices
 
 BLOCK_TRIALS = 4096
 # Most values one pass over a design may hold: a decoded chunk of trials in
-# `sim`, a gather of the items' own tests in `disguise`.
+# `sim`; a gather of the items' own tests, a block of co-set unions or of
+# walked patterns in `disguise`.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -112,20 +113,6 @@ def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:
     return OutcomeVector(tuple(bool(m & k) for m in design.row_masks))
 
 
-def _check_subset_width(m: int) -> None:
-    if not 0 <= m <= 32:
-        raise ValueError(f"cannot enumerate the subsets of {m} items as uint32 bitmasks")
-
-
-def subset_blocks(m: int) -> Iterator[np.ndarray]:
-    """Yield the 2^m subsets of m items in increasing order, as uint32 bitmasks
-    (bit ``i`` <-> item ``i``), in blocks of `BLOCK_TRIALS`; `subset_lanes`
-    gives the same block in lanes."""
-    _check_subset_width(m)
-    for start in range(0, 1 << m, BLOCK_TRIALS):
-        yield np.arange(start, min(start + BLOCK_TRIALS, 1 << m), dtype="<u4")
-
-
 @functools.cache
 def _block_patterns() -> np.ndarray:
     """Rows 0 .. log2(`BLOCK_TRIALS`) - 1 of the lanes of the subsets
@@ -143,8 +130,8 @@ def _block_patterns() -> np.ndarray:
 
 
 def subset_lanes(m: int, start: int) -> np.ndarray:
-    """The bit lanes (m x W) of the block of subsets of m items that
-    `subset_blocks` yields from ``start``: row i holds item i in each of them.
+    """The bit lanes (m x W) of the block of at most `BLOCK_TRIALS` subsets
+    of m items, as bitmasks, from ``start`` on: row i holds item i in each.
 
     Nothing is packed.  As a block starts at a multiple of `BLOCK_TRIALS`, a
     power of two, its rows below log2(`BLOCK_TRIALS`) are the same in every
@@ -152,7 +139,8 @@ def subset_lanes(m: int, start: int) -> np.ndarray:
     zeros, as bit i of ``start``.  A block of under 64 subsets (m < 6) keeps
     its padding bits 0.
     """
-    _check_subset_width(m)
+    if not 0 <= m <= 32:
+        raise ValueError(f"cannot walk the subsets of {m} items in lanes of at most 32 rows")
     if start % BLOCK_TRIALS or not 0 <= start < 1 << m:
         raise ValueError(f"no block of the subsets of {m} items starts at {start}")
     s = min(BLOCK_TRIALS, (1 << m) - start)
@@ -165,18 +153,6 @@ def subset_lanes(m: int, start: int) -> np.ndarray:
     high = np.array([start >> i & 1 for i in range(low, m)], dtype=np.uint64)
     lanes[low:] = (np.uint64(0) - high)[:, None]
     return lanes
-
-
-def count_by_size(m: int, event: Callable[[np.ndarray], np.ndarray]) -> tuple[int, ...]:
-    """Count, by size j, the subsets of m items on which ``event`` holds.
-
-    The subsets are walked by `subset_blocks`; ``event`` maps a block of
-    bitmasks to one boolean per bitmask.
-    """
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for ks in subset_blocks(m):
-        counts += np.bincount(np.bitwise_count(ks[event(ks)]), minlength=m + 1)
-    return tuple(int(c) for c in counts)
 
 
 def to_lanes(rows: np.ndarray) -> np.ndarray:

@@ -20,10 +20,6 @@ from .model import (
 _Z95 = 1.959963984540054
 EXACT_ITEM_BUDGET = {DecoderId.COMP: 20, DecoderId.DD: 20, DecoderId.MAP: 14}
 FLOOR_TOLERANCE = 1e-12
-# A decoded chunk holds at most CHUNK_ELEMENTS values (trials x max(n, T)),
-# though at least one lane word of 64 trials.  Each block is drawn whole before
-# chunks slice it in whole lane words, so the draws do not depend on this.
-# Designs with n and T up to 1024 fit a whole block of BLOCK_TRIALS in one chunk.
 # Lane words one piece of the draw covers.  A piece takes its random words in
 # order, digit by digit, so this fixes the stream; it bounds the draw's
 # temporaries at 512 KiB each, whatever the design size.
@@ -336,6 +332,9 @@ def _sampler(design: TestDesign, p: float):
             f"one trial over {design.n} items and {design.T} tests spans {width} values, "
             f"over the chunk budget of {CHUNK_ELEMENTS}"
         )
+    # Each block is drawn whole before chunks slice it in whole lane words, so
+    # the draws do not depend on the chunk size.  Designs with n and T up to
+    # 1024 fit a whole block of BLOCK_TRIALS in one chunk.
     rows = max(64, min(BLOCK_TRIALS, CHUNK_ELEMENTS // max(width, 1)) // 64 * 64)
 
     def sample(rng: np.random.Generator, size: int):

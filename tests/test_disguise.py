@@ -112,6 +112,17 @@ class TestPatternCounts:
     # 14 minimal co-sets over 15 co-items: 2^14 terms span four blocks
     CHAIN = (new_design([{0, a, a + 1} for a in range(1, 15)], 16), 0)
     REGULAR = gen_doubly_regular(144, 2, 9, seed=1)
+    # 13 minimal co-sets over 13 co-items: item 0 walks all 2^13 patterns
+    CYCLE = (new_design([{0, 1 + k, 1 + (k + 1) % 13} for k in range(13)], 14), 0)
+    # item 0 is untested (d' = 0) and item 1 tested alone (d' = 1): both walk with m = 0
+    ALONE = new_design([{1}], 2)
+    # items 0, 5 and 10 walk with m = 4 and d' = 5, 4 and 6; items 6 to 9 with m = d' = 1
+    SHARED_M = new_design(
+        [{0, a, b} for a in range(1, 5) for b in range(a + 1, 5) if (a, b) != (3, 4)]
+        + [{5, a} for a in range(6, 10)]
+        + [{10, a, b} for a in range(11, 15) for b in range(a + 1, 15)],
+        15,
+    )
 
     def test_match_per_pattern_reference(self):
         rng = np.random.default_rng(26)
@@ -121,8 +132,9 @@ class TestPatternCounts:
             n = int(rng.integers(1, 9))
             d = helpers.random_messy_design(rng, n, int(rng.integers(0, 7)))
             cases += [(d, range(n))]
-        named = (self.NESTED, self.SOLO, self.UNTESTED, self.PAIRS, self.CHAIN)
+        named = (self.NESTED, self.SOLO, self.UNTESTED, self.PAIRS, self.CHAIN, self.CYCLE)
         cases += [(d, range(d.n)) for d, _ in named]
+        cases += [(self.ALONE, range(2)), (self.SHARED_M, range(15))]
         cases += [(self.REGULAR, (0, 71, 143))]
         assert [len(co_items(self.REGULAR, i)) for i in (0, 71, 143)] == [16, 16, 16]
         for d, items in cases:
@@ -132,24 +144,31 @@ class TestPatternCounts:
         assert disguise._pattern_counts(self.UNTESTED[0], np.array([0]), CO_ITEM_BUDGET) == [(1,)]
 
     def test_walk_only_when_minimal_co_sets_outnumber_co_items(self, monkeypatch):
-        walked, walk = [], disguise.count_by_size
+        walked, walk = [], disguise._walk
 
-        def recording(m, event):
-            walked.append(m)
-            return walk(m, event)
+        def recording(sets, m):
+            walked.append((m, len(sets)))
+            return walk(sets, m)
 
-        monkeypatch.setattr(disguise, "count_by_size", recording)
+        monkeypatch.setattr(disguise, "_walk", recording)
         for d, i in [self.NESTED, self.SOLO, self.CHAIN, (self.REGULAR, 0)]:
             disguise._pattern_counts(d, np.array([i]), CO_ITEM_BUDGET)
         disguise._pattern_counts(self.REGULAR, np.arange(self.REGULAR.n), CO_ITEM_BUDGET)
         assert walked == []
         disguise._pattern_counts(self.PAIRS[0], np.array([self.PAIRS[1]]), CO_ITEM_BUDGET)
-        assert walked == [4]
+        assert walked == [(4, 1)]
+        # one walk per distinct m, over every item of the design that walks with it
+        for d, walks in [(self.CYCLE[0], [(13, 1)]), (self.ALONE, [(0, 2)]),
+                         (self.SHARED_M, [(1, 4), (4, 3)])]:
+            walked.clear()
+            disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET)
+            assert sorted(walked) == walks
 
     def test_same_counts_in_passes_of_any_size(self, monkeypatch):
-        # CHAIN's 2^14 inclusion-exclusion terms and REGULAR's gather of
-        # 144 x 2 x 9 members, against one pass each
-        designs = [self.CHAIN[0], self.PAIRS[0], self.REGULAR]
+        # CHAIN's 2^14 inclusion-exclusion terms, REGULAR's gather of
+        # 144 x 2 x 9 members and CYCLE's walk of 2^13 patterns, against one
+        # pass each
+        designs = [self.CHAIN[0], self.PAIRS[0], self.REGULAR, self.CYCLE[0], self.SHARED_M]
         whole = [disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET) for d in designs]
         for chunk in (1, 7, 1000):
             monkeypatch.setattr(disguise, "CHUNK_ELEMENTS", chunk)

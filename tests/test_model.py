@@ -12,9 +12,7 @@ from pooltest import (
     new_design,
     outcomes,
 )
-from pooltest.model import (
-    BLOCK_TRIALS, count_by_size, from_lanes, subset_blocks, subset_lanes, to_lanes,
-)
+from pooltest.model import BLOCK_TRIALS, from_lanes, subset_lanes, to_lanes
 
 import helpers
 
@@ -119,27 +117,18 @@ def test_outcomes_monotone_and_or(case):
 
 
 class TestSubsetWalk:
-    def test_every_subset_once_in_order(self):
-        for m in (0, 3, 13):  # 2^13 subsets span two blocks
-            blocks = list(subset_blocks(m))
-            assert all(b.dtype == np.dtype("<u4") and 0 < len(b) <= BLOCK_TRIALS for b in blocks)
-            assert np.concatenate(blocks).tolist() == list(range(1 << m))
-
     def test_width_checked(self):
         for m in (-1, 33):
-            with pytest.raises(ValueError):
-                next(subset_blocks(m))
-            with pytest.raises(ValueError):
-                count_by_size(m, lambda ks: ks > 0)
             with pytest.raises(ValueError):
                 subset_lanes(m, 0)
 
     def test_lanes_match_packed_blocks(self):
         # m < 6 leaves a partly filled word; m >= 13 takes rows from the block's start.
         for m in range(16):
-            for ks in subset_blocks(m):
+            for start in range(0, 1 << m, BLOCK_TRIALS):
+                ks = np.arange(start, min(start + BLOCK_TRIALS, 1 << m))
                 rows = (ks[:, None] >> np.arange(m) & 1).astype(bool)
-                lanes = subset_lanes(m, int(ks[0]))
+                lanes = subset_lanes(m, start)
                 assert lanes.dtype == np.uint64 and (lanes == to_lanes(rows)).all()
                 for r in range(m):  # padding bits are 0
                     assert int.from_bytes(lanes[r].tobytes(), "little") >> len(ks) == 0
@@ -148,10 +137,6 @@ class TestSubsetWalk:
         for m, start in ((13, 1), (13, BLOCK_TRIALS * 2), (4, 16), (4, -BLOCK_TRIALS)):
             with pytest.raises(ValueError):
                 subset_lanes(m, start)
-
-    def test_counts_by_size(self):
-        assert count_by_size(5, lambda ks: np.ones(ks.size, dtype=bool)) == (1, 5, 10, 10, 5, 1)
-        assert count_by_size(4, lambda ks: ks & 1 == 1) == (0, 1, 3, 3, 1)
 
 
 class TestLanes:
