@@ -114,23 +114,70 @@ def _differs(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return from_lanes(np.bitwise_or.reduce(a ^ b, axis=0, keepdims=True), s)[:, 0]
 
 
-def _lowest_completions(design: TestDesign, outcomes: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
-    """For each of m outcomes, the lowest item that alone covers its uncovered tests, or -1.
+def _gather(lanes: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The bits of the given trials in ``lanes`` (k x W), as a boolean k x len(trials) array.
 
-    ``outcomes`` and ``uncovered`` hold, as boolean rows (m x T), each outcome
-    and its positive tests that hold no item of its estimate.  An item
-    qualifies when it is a COMP survivor and lies in every uncovered test.
-    Each item's tests are gathered through ``incidence.item_tests`` with one
-    padding test, positive and not uncovered: ANDed, they give the survivors,
-    and summed, the uncovered tests the item lies in, which must number all
-    of them.  Gathering one column of the table at a time keeps memory at
-    n x m values.
+    Each bit is read from the lanes' bytes, by byte and bit index, so the
+    gather holds one byte per row and trial.
     """
-    item_tests = design.incidence.item_tests
-    survivor = fold_lanes(outcomes.T, item_tests, np.bitwise_and)
-    met = fold_lanes(uncovered.T.astype(np.int32), item_tests, np.add)
-    complete = survivor & (met == np.count_nonzero(uncovered, axis=1))
-    return np.where(complete.any(axis=0), complete.argmax(axis=0), -1)
+    return (lanes.view(np.uint8)[:, trials >> 3] >> (trials & 7).astype(np.uint8) & 1).view(bool)
+
+
+def _write_back(lanes: np.ndarray, trials: np.ndarray, masks: np.ndarray) -> None:
+    """OR into ``lanes`` (n x W), in place, bit i of ``masks[j]`` at trial ``trials[j]``.
+
+    ``trials`` ascend and ``masks`` are uint64, so one ``reduceat`` ORs
+    together the bits of the trials in each lane word; no other bit changes.
+    """
+    word = trials >> 6
+    starts = np.flatnonzero(np.diff(word, prepend=-1))
+    bits = masks[:, None] >> np.arange(len(lanes), dtype=np.uint64)
+    bits &= np.uint64(1)
+    bits <<= (trials & 63).astype(np.uint64)[:, None]
+    lanes[:, word[starts]] |= np.bitwise_or.reduceat(bits, starts, axis=0).T
+
+
+def _small_completions(
+    design: TestDesign, item_words: np.ndarray, uncovered: np.ndarray, survivor: np.ndarray
+) -> np.ndarray:
+    """For each of m outcomes, the mask of the completion of at most two items `map_mask` adds, or 0.
+
+    ``uncovered`` (T x m) marks each outcome's positive tests that hold no item
+    of DD's estimate, at least one per outcome, and ``survivor`` (n x m) its
+    COMP survivors; ``item_words`` holds each item's tests as packed words
+    ((n + 1) x ceil(T/64)), with an empty padding row n.  A completion is a set
+    of survivors that meets every uncovered test, so it meets the first one,
+    t0.  For each survivor a of t0, and for the padding item, which stands for
+    no a, the lowest survivor b that lies in every uncovered test a misses
+    gives the candidate {a, b}.  `map_mask` takes the smallest completion with
+    the smallest bitmask, and the candidate of least (size, bitmask) is it:
+    for a pair {x, y} with x in t0, the candidate {x, b} has b <= y.  The
+    outcomes go in chunks that keep the test of every b against their
+    uncovered words within `CHUNK_ELEMENTS` values.
+    """
+    n = design.n
+    words = to_lanes(uncovered)  # m x ceil(T/64): each outcome's uncovered tests
+    live = np.ones((len(words), n + 1), dtype=bool)  # the padding item counts as a survivor
+    live[:, :n] = survivor.T
+    firsts = design.incidence.test_items[uncovered.argmax(axis=0)]
+    candidates = np.column_stack([firsts, np.full(len(words), n, dtype=firsts.dtype)])
+    bit = np.uint64(1) << np.arange(n + 1, dtype=np.uint64)
+    bit[n] = 0
+    missing = ~item_words[:n]
+    none = ~np.uint64(0)
+    best = np.full(len(words), none)
+    step = max(1, CHUNK_ELEMENTS // ((n + 1) * words.shape[1]))
+    for start in range(0, len(words), step):
+        chunk = slice(start, start + step)
+        for a in candidates[chunk].T:
+            rest = words[chunk] & ~item_words[a]
+            fits = live[chunk, :n] & ~np.any(rest[:, None, :] & missing, axis=2)
+            mask = bit[a] | bit[fits.argmax(axis=1)]
+            # Ordered by size, then bitmask.
+            key = np.bitwise_count(mask).astype(np.uint64) << np.uint64(n) | mask
+            found = live[chunk][np.arange(len(a)), a] & fits.any(axis=1)
+            best[chunk] = np.where(found, np.minimum(best[chunk], key), best[chunk])
+    return np.where(best == none, np.uint64(0), best & np.uint64((1 << n) - 1))
 
 
 def _map_block(design: TestDesign, prior: Prior):
@@ -141,15 +188,21 @@ def _map_block(design: TestDesign, prior: Prior):
     `map_mask` returns that set there (DD's set is its forced set and leaves
     no positive test to cover).  So does a trial whose COMP survivors do not
     reproduce its outcome: no set produces that outcome, and DD's estimate,
-    like any set, does not reproduce it.  Only the other trials leave the
-    lanes, and each of their distinct outcomes is decoded once across all
-    calls, through one cache keyed by the packed outcome.  One new to the
-    cache that one item completes takes DD's set and the lowest such item
-    (`_lowest_completions`), the smallest hitting set with the smallest
-    bitmask, which `map_mask` returns; the rest go through `decode_mask`.
+    like any set, does not reproduce it.  Only the other trials are gathered
+    from the lanes, by byte and bit index (`_gather`), and each of their
+    distinct outcomes is decoded once across all calls, through one cache
+    keyed by the packed outcome.  An outcome new to the cache that one or two
+    items complete caches the completion `map_mask` would add to DD's set
+    (`_small_completions`); the rest cache `decode_mask`'s estimate.  MAP's
+    estimate holds DD's set, its forced items, so either, ORed into the DD
+    lanes in place, gives it (`_write_back`).
     """
-    nbytes = (design.n + 7) // 8
-    cache: dict[bytes, bytes] = {}
+    n, T = design.n, design.T
+    member = np.zeros((T, n + 1), dtype=bool)
+    member[np.arange(T)[:, None], design.incidence.test_items] = True
+    member[:, n] = False
+    item_words = to_lanes(member)  # each item's tests as packed words; the padding row is empty
+    cache: dict[bytes, int] = {}
 
     def decode(positive: np.ndarray, s: int) -> np.ndarray:
         survivors = comp_block(design, positive)
@@ -161,31 +214,22 @@ def _map_block(design: TestDesign, prior: Prior):
             flagged = flagged[produced[flagged]]
         if not len(flagged):
             return estimates
-        trials = from_lanes(positive, s)[flagged]
-        packed = np.packbits(trials, axis=1, bitorder="little")
-        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        outcomes = _gather(positive, flagged)
+        words = to_lanes(outcomes)  # each trial's outcome as packed words over the T tests
+        rows = words.view(np.dtype((np.void, words.shape[1] * 8))).ravel()
         keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         keys = keys.tolist()
         new = [k for k, key in enumerate(keys) if key not in cache]
-        decoded = from_lanes(estimates, s)
         if new:
-            outcomes, pick = trials[first[new]], flagged[first[new]]
-            found = decoded[pick]
-            uncovered = outcomes & ~from_lanes(images, s)[pick]
-            items = _lowest_completions(design, outcomes, uncovered)
-            done = np.flatnonzero(items >= 0)
-            found[done, items[done]] = True
-            found = np.packbits(found, axis=1, bitorder="little")
-            for k, item, row in zip(new, items.tolist(), found):
-                if item < 0:
-                    sig = int.from_bytes(keys[k], "little")
-                    row = decode_mask(design, sig, DecoderId.MAP, prior).to_bytes(nbytes, "little")
-                cache[keys[k]] = bytes(row)
-        table = np.frombuffer(b"".join(cache[key] for key in keys), dtype=np.uint8)
-        table = table.reshape(len(keys), nbytes)
-        map_rows = np.unpackbits(table, axis=1, count=design.n, bitorder="little").view(bool)
-        decoded[flagged] = map_rows[inverse]
-        return to_lanes(decoded)
+            pick = flagged[first[new]]
+            uncovered = outcomes[:, first[new]] & ~_gather(images, pick)
+            found = _small_completions(design, item_words, uncovered, _gather(survivors, pick))
+            for k, mask in zip(new, found.tolist()):
+                sig = int.from_bytes(keys[k], "little")
+                cache[keys[k]] = mask or decode_mask(design, sig, DecoderId.MAP, prior)
+        masks = np.array([cache[key] for key in keys], dtype=np.uint64)
+        _write_back(estimates, flagged, masks[inverse])
+        return estimates
 
     return decode
 

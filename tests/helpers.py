@@ -138,20 +138,21 @@ def map_reference(design: TestDesign, sig: int, p: float) -> int | None:
 def map_search_needed(design: TestDesign, sig: int) -> bool:
     """Whether a MAP block decoder for p <= 1/2 must search this outcome.
 
-    It must when DD's estimate leaves some positive test uncovered and no item
-    outside every negative test lies in all the uncovered ones, so that no
-    single item completes DD's estimate.
+    It must when DD's estimate leaves some positive test uncovered and no set
+    of one or two COMP survivors meets every uncovered test, so that no
+    completion of at most two items exists; checked with
+    ``itertools.combinations`` over the survivors.
     """
     estimate = dd_reference(design, sig)
-    common = (1 << design.n) - 1
-    uncovered = False
-    for t, mask in enumerate(design.row_masks):
-        if not sig >> t & 1:
-            common &= ~mask
-        elif not mask & estimate:
-            common &= mask
-            uncovered = True
-    return uncovered and not common
+    uncovered = [
+        mask for t, mask in enumerate(design.row_masks) if sig >> t & 1 and not mask & estimate
+    ]
+    survivors = comp_reference(design, sig)
+    bits = [1 << i for i in range(design.n) if survivors >> i & 1]
+    completions = (
+        sum(items) for size in (1, 2) for items in itertools.combinations(bits, size)
+    )
+    return bool(uncovered) and not any(all(k & t for t in uncovered) for k in completions)
 
 
 def exact_error_reference(design: TestDesign, p: float, decoder) -> float:

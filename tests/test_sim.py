@@ -243,7 +243,7 @@ class TestExactAverageError:
     def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
         # MAP searches go through the module attribute sim.decode_mask, and
         # only for outcomes some set produces that DD's estimate does not
-        # explain and that no single item completes; for p > 1/2 COMP's
+        # explain and that no one or two items complete; for p > 1/2 COMP's
         # estimate explains every such outcome.
         d = new_design([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {6, 7}, {7, 8}], 9)
         images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
@@ -276,6 +276,12 @@ class TestExactAverageError:
         bigger = TestDesign(n=21, row_masks=(1,))
         with pytest.raises(BudgetExceededError):
             exact_average_error(bigger, Prior(0.5), DecoderId.COMP)
+
+
+def _completion_size(design, sig):
+    """How many items MAP's estimate of an outcome adds to DD's, by the reference oracles."""
+    added = helpers.map_reference(design, sig, 0.5) & ~helpers.dd_reference(design, sig)
+    return added.bit_count()
 
 
 class TestMapBlock:
@@ -341,6 +347,7 @@ class TestMapBlock:
         sets = rng.random((400, d.n)) < 0.05
         sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
         hard = next(sig for sig in sigs if helpers.map_search_needed(d, sig))
+        assert _completion_size(d, hard) >= 3
         sigs = [sig for sig in sigs if helpers.dd_explains(d, sig)][:150]
         assert len(set(sigs)) > 20
         searched = self._record_searches(monkeypatch)
@@ -356,30 +363,111 @@ class TestMapBlock:
                 assert got == [helpers.map_reference(d, sig, p) for sig in mixed]
             assert searched == ([hard] if p <= 0.5 else [])
 
-    def test_one_item_completions_match_reference(self, monkeypatch):
-        # Every outcome that DD leaves unexplained and one item completes is
-        # decoded without a search, to the reference's set; p = 0.5 takes the
-        # DD side, where a COMP shortcut would keep every survivor.
+    def test_one_and_two_item_completions_match_reference(self, monkeypatch):
+        # Every outcome that DD leaves unexplained and one or two items
+        # complete is decoded without a search, to the reference's set; p = 0.5
+        # takes the DD side, where a COMP shortcut would keep every survivor.
         rng = np.random.default_rng(50)
         designs = [gen_doubly_regular(12, 2, 3, seed=2)]
         designs += [helpers.random_messy_design(rng, int(rng.integers(3, 10)), 6) for _ in range(30)]
         searched = self._record_searches(monkeypatch)
-        completions = 0
+        sizes = {1: 0, 2: 0}
         for d in designs:
             images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
             unexplained = [s for s in images if not helpers.dd_explains(d, s)]
-            one_item = [s for s in unexplained if not helpers.map_search_needed(d, s)]
-            completions += len(one_item)
+            settled = [s for s in unexplained if not helpers.map_search_needed(d, s)]
+            for s in settled:
+                sizes[_completion_size(d, s)] += 1
             for p in (0.1, 0.5):
                 searched.clear()
                 got = self._decode_outcomes(self._map_decoder(d, p), d, images)
                 expected = [helpers.map_reference(d, sig, p) for sig in images]
                 assert got == expected
-                assert sorted(searched) == [s for s in unexplained if s not in one_item]
-            if one_item:
-                comp = [helpers.comp_reference(d, s) for s in one_item]
-                assert comp != [helpers.map_reference(d, s, 0.5) for s in one_item]
-        assert completions > 100
+                assert sorted(searched) == [s for s in unexplained if s not in settled]
+            if settled:
+                comp = [helpers.comp_reference(d, s) for s in settled]
+                assert comp != [helpers.map_reference(d, s, 0.5) for s in settled]
+        assert sizes[1] > 100 and sizes[2] > 50
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_pair_tie_break_and_lower_item_outside_first_test(self, p, monkeypatch):
+        # All tests positive and none with a sole survivor, so DD's estimate is
+        # empty and every test is uncovered.  In the first design {0, 5} and
+        # {1, 2} complete it, and map_mask's smallest bitmask takes {1, 2}, not
+        # the pair with the lowest item.  In the second the pair {0, 3} wins,
+        # and its lower item 0 is not in the first uncovered test {3, 4}.
+        cases = [
+            (new_design([{0, 1}, {2, 5}, {1, 5}], 6), 0b110),
+            (new_design([{3, 4}, {0, 5}, {0, 6}], 7), 0b1001),
+        ]
+        searched = self._record_searches(monkeypatch)
+        for d, expected in cases:
+            sig = (1 << d.T) - 1
+            assert helpers.dd_reference(d, sig) == 0
+            assert helpers.map_reference(d, sig, p) == expected
+            assert self._decode_outcomes(self._map_decoder(d, p), d, [sig]) == [expected]
+        assert searched == []
+
+    def test_pair_completions_over_64_tests(self, monkeypatch):
+        # Nine random tests over 10 items, repeated 8 times to 72 tests, so
+        # each uncovered test has copies on both sides of test 64: outcomes
+        # that a pair completes are settled to the reference's set, and the
+        # rest are searched exactly as the oracle says.
+        rng = np.random.default_rng(51)
+        searched = self._record_searches(monkeypatch)
+        wide_pairs = 0
+        for _ in range(4):
+            weights = rng.integers(2, 4, 9).tolist()
+            d = new_design([set(rng.choice(10, w, replace=False).tolist()) for w in weights] * 8, 10)
+            images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
+            for p in (0.1, 0.5):
+                searched.clear()
+                got = self._decode_outcomes(self._map_decoder(d, p), d, images)
+                assert got == [helpers.map_reference(d, sig, p) for sig in images]
+                assert sorted(searched) == [s for s in images if helpers.map_search_needed(d, s)]
+            for sig in images:
+                estimate = helpers.dd_reference(d, sig)
+                uncovered = [t for t, row in enumerate(d.row_masks) if sig >> t & 1 and not row & estimate]
+                if uncovered and uncovered[0] < 64 <= uncovered[-1] and _completion_size(d, sig) == 2:
+                    wide_pairs += 1
+        assert wide_pairs > 20
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_completions_in_chunks_of_any_size(self, chunk, monkeypatch):
+        # The completion pass splits the new outcomes of a block into chunks of
+        # CHUNK_ELEMENTS // ((n + 1) * ceil(T/64)); any chunk size gives the
+        # reference's sets and searches the same outcomes.
+        rng = np.random.default_rng(52)
+        designs = [gen_doubly_regular(12, 2, 3, seed=3), new_design(DOUBLED_TESTS, 12)]
+        designs += [helpers.random_messy_design(rng, int(rng.integers(2, 10)), 7) for _ in range(8)]
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", chunk)
+        searched = self._record_searches(monkeypatch)
+        for d in designs:
+            images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
+            for p in (0.1, 0.5):
+                searched.clear()
+                got = self._decode_outcomes(self._map_decoder(d, p), d, images)
+                assert got == [helpers.map_reference(d, sig, p) for sig in images]
+                assert sorted(searched) == [s for s in images if helpers.map_search_needed(d, s)]
+
+    @pytest.mark.parametrize("s", [1, 63, 64, 65, 4095, 4096])
+    def test_write_back_changes_only_flagged_trials(self, s):
+        # Trials in the first word, in the last word and many in one word take
+        # their masks ORed into DD's lanes; every other trial keeps DD's bits
+        # and the padding bits stay 0.
+        rng = np.random.default_rng(s)
+        n = 30
+        rows = rng.random((s, n)) < 0.1
+        many = range(s // 2, min(s, s // 2 + 40))  # consecutive trials, most in one word
+        trials = np.array(sorted({0, s - 1, *many, *rng.integers(0, s, 20).tolist()}))
+        masks = rng.integers(0, 1 << n, len(trials), dtype=np.uint64)
+        lanes = to_lanes(rows)
+        assert np.array_equal(sim._gather(lanes, trials), rows[trials].T)
+        sim._write_back(lanes, trials, masks)
+        expected = rows.copy()
+        for trial, mask in zip(trials.tolist(), masks.tolist()):
+            expected[trial] |= [bool(mask >> i & 1) for i in range(n)]
+        assert np.array_equal(lanes, to_lanes(expected))  # padding bits included
 
     def test_outcome_no_set_produces(self, monkeypatch):
         # Given an outcome no set produces, MAP's block decoder returns a set
@@ -611,7 +699,7 @@ class TestMonteCarlo:
 
     def test_each_outcome_decoded_once_across_blocks(self, monkeypatch):
         # No outcome is decoded twice, and only the distinct outcomes that DD's
-        # estimate leaves unexplained and no single item completes reach
+        # estimate leaves unexplained and no one or two items complete reach
         # decode_mask; for p > 1/2 COMP's estimate explains every outcome, so
         # decode_mask is never called.
         d = gen_doubly_regular(30, 2, 3, seed=5)
