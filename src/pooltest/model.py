@@ -16,9 +16,10 @@ import numpy as np
 from .design import TestDesign, _bit_positions, _mask_from_indices
 
 BLOCK_TRIALS = 4096
-# Most values one pass over a design may hold: a decoded chunk of trials or a
-# chunk of MAP's completion pass in `sim`; a gather of the items' own tests, a
-# block of co-set unions or of walked patterns in `disguise`.
+# Most values one pass over a design may hold: a decoded chunk of trials, or in
+# MAP's completion pass in `sim` a chunk of outcomes' deepest level or of rows
+# tested against every item; a gather of the items' own tests, a block of
+# co-set unions or of walked patterns in `disguise`.
 CHUNK_ELEMENTS = 1 << 22
 
 

@@ -24,6 +24,14 @@ FLOOR_TOLERANCE = 1e-12
 # order, digit by digit, so this fixes the stream; it bounds the draw's
 # temporaries at 512 KiB each, whatever the design size.
 DRAW_WORDS = 1 << 16
+# Most items MAP's block decoder adds to DD's set in numpy (`_small_completions`);
+# an outcome that needs more goes to `decode_mask`'s search.  Over 64 mc_map
+# jobs (16 doubly regular 30/2/3 designs, p = 0.05, 16,384 trials) depths 2, 3,
+# 4, 5 and 8 left 9,031, 2,089, 422, 70 and 0 searches, and 160 paired jobs on a
+# 2-vCPU host took 0.80, 0.74, 0.72 and 0.78 of depth 2's median time at depths
+# 3, 4, 5 and 8.  Depth 4 leaves a few searches a job for perfbench's tracer,
+# which counts them at `decode_mask`.
+COMPLETION_ITEMS = 4
 
 
 @dataclass(frozen=True)
@@ -140,44 +148,74 @@ def _write_back(lanes: np.ndarray, trials: np.ndarray, masks: np.ndarray) -> Non
 def _small_completions(
     design: TestDesign, item_words: np.ndarray, uncovered: np.ndarray, survivor: np.ndarray
 ) -> np.ndarray:
-    """For each of m outcomes, the mask of the completion of at most two items `map_mask` adds, or 0.
+    """For each of m outcomes, the mask of the completion of at most `COMPLETION_ITEMS` items
+    `map_mask` adds, or 0.
 
     ``uncovered`` (T x m) marks each outcome's positive tests that hold no item
     of DD's estimate, at least one per outcome, and ``survivor`` (n x m) its
     COMP survivors; ``item_words`` holds each item's tests as packed words
-    ((n + 1) x ceil(T/64)), with an empty padding row n.  A completion is a set
-    of survivors that meets every uncovered test, so it meets the first one,
-    t0.  For each survivor a of t0, and for the padding item, which stands for
-    no a, the lowest survivor b that lies in every uncovered test a misses
-    gives the candidate {a, b}.  `map_mask` takes the smallest completion with
-    the smallest bitmask, and the candidate of least (size, bitmask) is it:
-    for a pair {x, y} with x in t0, the candidate {x, b} has b <= y.  The
-    outcomes go in chunks that keep the test of every b against their
-    uncovered words within `CHUNK_ELEMENTS` values.
+    (n x ceil(T/64)).  A completion is a set of survivors that meets every
+    uncovered test.  The pass deepens one item a level: a row is an outcome
+    and the items chosen so far, and it fits when some survivor lies in every
+    uncovered test those items miss; its candidate adds the lowest such
+    survivor.  An outcome is settled at the first level where a row fits,
+    with its least candidate; otherwise each row branches on the survivors
+    of the first test it misses.  That candidate is the completion of least
+    (size, bitmask), which `map_mask` returns: a smallest completion C has an
+    item x1 in the first uncovered test, x2 in the first test x1 misses, and
+    so on, and the row of those items takes a last item no higher than C's.
+    An outcome holds at most w^(j-1) rows at level j, w being the most items
+    of a test, so outcomes go in chunks that keep their last level within
+    `CHUNK_ELEMENTS` values, and each level tests its rows in chunks that do
+    the same for their test against every item.
     """
     n = design.n
+    test_items = design.incidence.test_items
     words = to_lanes(uncovered)  # m x ceil(T/64): each outcome's uncovered tests
-    live = np.ones((len(words), n + 1), dtype=bool)  # the padding item counts as a survivor
+    m, W = words.shape
+    live = np.zeros((m, n + 1), dtype=bool)  # the padding item n is never a survivor
     live[:, :n] = survivor.T
-    firsts = design.incidence.test_items[uncovered.argmax(axis=0)]
-    candidates = np.column_stack([firsts, np.full(len(words), n, dtype=firsts.dtype)])
-    bit = np.uint64(1) << np.arange(n + 1, dtype=np.uint64)
-    bit[n] = 0
-    missing = ~item_words[:n]
+    missing = ~item_words
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
     none = ~np.uint64(0)
-    best = np.full(len(words), none)
-    step = max(1, CHUNK_ELEMENTS // ((n + 1) * words.shape[1]))
-    for start in range(0, len(words), step):
-        chunk = slice(start, start + step)
-        for a in candidates[chunk].T:
-            rest = words[chunk] & ~item_words[a]
-            fits = live[chunk, :n] & ~np.any(rest[:, None, :] & missing, axis=2)
-            mask = bit[a] | bit[fits.argmax(axis=1)]
-            # Ordered by size, then bitmask.
-            key = np.bitwise_count(mask).astype(np.uint64) << np.uint64(n) | mask
-            found = live[chunk][np.arange(len(a)), a] & fits.any(axis=1)
-            best[chunk] = np.where(found, np.minimum(best[chunk], key), best[chunk])
-    return np.where(best == none, np.uint64(0), best & np.uint64((1 << n) - 1))
+    found = np.full(m, none)
+    depth = COMPLETION_ITEMS - 1
+    step = max(1, CHUNK_ELEMENTS // (depth * test_items.shape[1] ** depth))
+    fit_rows = max(1, CHUNK_ELEMENTS // ((n + 1) * W))
+    for start in range(0, m, step):
+        owner = np.arange(start, min(start + step, m))
+        chosen = np.empty((len(owner), 0), dtype=test_items.dtype)
+        for size in range(1, COMPLETION_ITEMS + 1):
+            fit = np.empty(len(owner), dtype=np.intp)  # the lowest fitting survivor, n if none
+            first = np.empty(len(owner), dtype=np.intp)  # the first uncovered test the row misses
+            for r in range(0, len(owner), fit_rows):
+                rows = slice(r, r + fit_rows)
+                rest = words[owner[rows]]
+                for items in chosen[rows].T:
+                    rest &= missing[items]
+                fits = live.take(owner[rows], axis=0)
+                fits[:, :n] &= ~np.any(rest[:, None, :] & missing, axis=2)
+                fits[:, n] = True  # so a row that no survivor fits takes n
+                fit[rows] = fits.argmax(axis=1)
+                lead = (rest != 0).argmax(axis=1)
+                word = rest[np.arange(len(rest)), lead]
+                first[rows] = 64 * lead + np.bitwise_count(word ^ (word - np.uint64(1))) - 1
+            hit = fit < n
+            masks = bit[fit[hit]]
+            for items in chosen[hit].T:
+                masks |= bit[items]
+            np.minimum.at(found, owner[hit], masks)  # one size a level: least bitmask
+            if size == COMPLETION_ITEMS:
+                break
+            keep = found[owner] == none
+            owner, chosen, first = owner[keep], chosen[keep], first[keep]
+            if not len(owner):
+                break
+            branches = test_items[first]
+            row, column = np.nonzero(live[owner[:, None], branches])
+            owner = owner[row]
+            chosen = np.column_stack([chosen[row], branches[row, column]])
+    return np.where(found == none, np.uint64(0), found)
 
 
 def _map_block(design: TestDesign, prior: Prior):
@@ -191,17 +229,16 @@ def _map_block(design: TestDesign, prior: Prior):
     like any set, does not reproduce it.  Only the other trials are gathered
     from the lanes, by byte and bit index (`_gather`), and each of their
     distinct outcomes is decoded once across all calls, through one cache
-    keyed by the packed outcome.  An outcome new to the cache that one or two
-    items complete caches the completion `map_mask` would add to DD's set
-    (`_small_completions`); the rest cache `decode_mask`'s estimate.  MAP's
-    estimate holds DD's set, its forced items, so either, ORed into the DD
-    lanes in place, gives it (`_write_back`).
+    keyed by the packed outcome.  An outcome new to the cache that at most
+    `COMPLETION_ITEMS` items complete caches the completion `map_mask` would
+    add to DD's set (`_small_completions`); the rest cache `decode_mask`'s
+    estimate.  MAP's estimate holds DD's set, its forced items, so either,
+    ORed into the DD lanes in place, gives it (`_write_back`).
     """
     n, T = design.n, design.T
     member = np.zeros((T, n + 1), dtype=bool)
     member[np.arange(T)[:, None], design.incidence.test_items] = True
-    member[:, n] = False
-    item_words = to_lanes(member)  # each item's tests as packed words; the padding row is empty
+    item_words = to_lanes(member[:, :n])  # each item's tests as packed words
     cache: dict[bytes, int] = {}
 
     def decode(positive: np.ndarray, s: int) -> np.ndarray:

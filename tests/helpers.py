@@ -139,8 +139,8 @@ def map_search_needed(design: TestDesign, sig: int) -> bool:
     """Whether a MAP block decoder for p <= 1/2 must search this outcome.
 
     It must when DD's estimate leaves some positive test uncovered and no set
-    of one or two COMP survivors meets every uncovered test, so that no
-    completion of at most two items exists; checked with
+    of at most four COMP survivors meets every uncovered test, so that no
+    completion of at most four items exists; checked with
     ``itertools.combinations`` over the survivors.
     """
     estimate = dd_reference(design, sig)
@@ -150,7 +150,7 @@ def map_search_needed(design: TestDesign, sig: int) -> bool:
     survivors = comp_reference(design, sig)
     bits = [1 << i for i in range(design.n) if survivors >> i & 1]
     completions = (
-        sum(items) for size in (1, 2) for items in itertools.combinations(bits, size)
+        sum(items) for size in range(1, 5) for items in itertools.combinations(bits, size)
     )
     return bool(uncovered) and not any(all(k & t for t in uncovered) for k in completions)
 

@@ -1,5 +1,6 @@
 """Tests for exact/Monte Carlo error evaluation and floor verification."""
 
+import functools
 import json
 import math
 import threading
@@ -46,6 +47,12 @@ P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 # of the 2^11 outcomes are images of a set.
 DOUBLED_TESTS = [{0, 1, 2}, {0, 1, 2}, {2, 3, 4}, {2, 3, 4}, {4, 5, 6}, {4, 5, 6}, {6, 7, 0},
                  {6, 7, 0}, {1, 8}, {8, 9}, {9, 3}]
+# Five disjoint two-item tests: with all five positive and no item cleared,
+# MAP's estimate takes one item of each, {0, 2, 4, 6, 8}.
+FIVE_PAIRS = [{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}]
+# Eight tests over 12 items: of the 210 images, DD leaves 113 unexplained, and
+# MAP adds 1 item to 29 of them, 2 to 54, 3 to 18, 4 to 10 and 5 to 2.
+PAIRED_TESTS = FIVE_PAIRS + [{1, 3, 10}, {5, 7, 11}, {9, 10, 11}]
 
 
 class TestWilson:
@@ -243,9 +250,9 @@ class TestExactAverageError:
     def test_exact_map_searches_only_consistent_outcomes(self, monkeypatch):
         # MAP searches go through the module attribute sim.decode_mask, and
         # only for outcomes some set produces that DD's estimate does not
-        # explain and that no one or two items complete; for p > 1/2 COMP's
+        # explain and that no four items complete; for p > 1/2 COMP's
         # estimate explains every such outcome.
-        d = new_design([{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {6, 7}, {7, 8}], 9)
+        d = new_design(PAIRED_TESTS, 12)
         images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
         unexplained = {s for s in images if not helpers.dd_explains(d, s)}
         searches = {s for s in images if helpers.map_search_needed(d, s)}
@@ -282,6 +289,22 @@ def _completion_size(design, sig):
     """How many items MAP's estimate of an outcome adds to DD's, by the reference oracles."""
     added = helpers.map_reference(design, sig, 0.5) & ~helpers.dd_reference(design, sig)
     return added.bit_count()
+
+
+@functools.cache
+def _heavy_case():
+    """A first test of 20 items and 12 light ones over 24 items, the distinct
+    outcomes of 400 sampled sets, their MAP estimates for p <= 1/2 by the
+    reference, and the outcomes the oracle says need a search."""
+    rng = np.random.default_rng(53)
+    rows = [set(range(20))]
+    rows += [set(rng.choice(24, int(rng.integers(2, 5)), replace=False).tolist()) for _ in range(12)]
+    d = new_design(rows, 24)
+    sets = rng.random((400, d.n)) < 0.2
+    sigs = sorted({helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets})
+    expected = [helpers.map_reference(d, sig, 0.5) for sig in sigs]
+    needed = [sig for sig in sigs if helpers.map_search_needed(d, sig)]
+    return d, sigs, expected, needed
 
 
 class TestMapBlock:
@@ -342,12 +365,18 @@ class TestMapBlock:
         # When DD's estimate explains every trial the block returns it as is.
         # An outcome that needs a search, decoded in two later blocks beside
         # the explained ones, is searched once (for p > 1/2 COMP explains it).
-        d = gen_doubly_regular(30, 2, 3, seed=5)
+        # The design is FIVE_PAIRS beside a doubly regular design on items
+        # 10 to 29; the hard outcome has just the five pairs positive.
+        regular = gen_doubly_regular(20, 3, 3, seed=5)
+        shifted = [{10 + i for i in range(20) if mask >> i & 1} for mask in regular.row_masks]
+        d = new_design(FIVE_PAIRS + shifted, 30)
+        hard = 0b11111
+        assert helpers.map_search_needed(d, hard)
+        assert helpers.map_reference(d, hard, 0.5) == 0b101010101
+        assert _completion_size(d, hard) >= 5
         rng = np.random.default_rng(49)
         sets = rng.random((400, d.n)) < 0.05
         sigs = [helpers.outcome_signature(d, helpers.mask_of_row(row)) for row in sets]
-        hard = next(sig for sig in sigs if helpers.map_search_needed(d, sig))
-        assert _completion_size(d, hard) >= 3
         sigs = [sig for sig in sigs if helpers.dd_explains(d, sig)][:150]
         assert len(set(sigs)) > 20
         searched = self._record_searches(monkeypatch)
@@ -363,15 +392,16 @@ class TestMapBlock:
                 assert got == [helpers.map_reference(d, sig, p) for sig in mixed]
             assert searched == ([hard] if p <= 0.5 else [])
 
-    def test_one_and_two_item_completions_match_reference(self, monkeypatch):
-        # Every outcome that DD leaves unexplained and one or two items
+    def test_completions_of_up_to_four_items_match_reference(self, monkeypatch):
+        # Every outcome that DD leaves unexplained and at most four items
         # complete is decoded without a search, to the reference's set; p = 0.5
         # takes the DD side, where a COMP shortcut would keep every survivor.
         rng = np.random.default_rng(50)
         designs = [gen_doubly_regular(12, 2, 3, seed=2)]
+        designs += [new_design(PAIRED_TESTS, 12)]
         designs += [helpers.random_messy_design(rng, int(rng.integers(3, 10)), 6) for _ in range(30)]
         searched = self._record_searches(monkeypatch)
-        sizes = {1: 0, 2: 0}
+        sizes = {1: 0, 2: 0, 3: 0, 4: 0}
         for d in designs:
             images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
             unexplained = [s for s in images if not helpers.dd_explains(d, s)]
@@ -387,7 +417,7 @@ class TestMapBlock:
             if settled:
                 comp = [helpers.comp_reference(d, s) for s in settled]
                 assert comp != [helpers.map_reference(d, s, 0.5) for s in settled]
-        assert sizes[1] > 100 and sizes[2] > 50
+        assert sizes[1] > 100 and sizes[2] > 50 and sizes[3] > 20 and sizes[4] > 10
 
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_pair_tie_break_and_lower_item_outside_first_test(self, p, monkeypatch):
@@ -395,10 +425,18 @@ class TestMapBlock:
         # empty and every test is uncovered.  In the first design {0, 5} and
         # {1, 2} complete it, and map_mask's smallest bitmask takes {1, 2}, not
         # the pair with the lowest item.  In the second the pair {0, 3} wins,
-        # and its lower item 0 is not in the first uncovered test {3, 4}.
+        # and its lower item 0 is not in the first uncovered test {3, 4}.  The
+        # next two take one item of each disjoint test, and their last test
+        # rules out item 0: {1, 2, 3} and {1, 2, 3, 4} beat every completion
+        # that takes the lowest item first.  In the last two the winner's low
+        # items 0, 1 (and 2) lie outside the first uncovered test {5, 6}.
         cases = [
             (new_design([{0, 1}, {2, 5}, {1, 5}], 6), 0b110),
             (new_design([{3, 4}, {0, 5}, {0, 6}], 7), 0b1001),
+            (new_design([{0, 1}, {2, 5}, {3, 6}, {1, 5, 6}], 7), 0b1110),
+            (new_design([{0, 1}, {2, 7}, {3, 8}, {4, 9}, {1, 7, 8, 9}], 10), 0b11110),
+            (new_design([{5, 6}, {0, 7}, {0, 8}, {1, 9}, {1, 10}], 11), 0b100011),
+            (new_design([{5, 6}, {0, 7}, {0, 8}, {1, 9}, {1, 10}, {2, 11}, {2, 12}], 13), 0b100111),
         ]
         searched = self._record_searches(monkeypatch)
         for d, expected in cases:
@@ -432,11 +470,53 @@ class TestMapBlock:
                     wide_pairs += 1
         assert wide_pairs > 20
 
+    def test_three_and_four_item_completions_over_64_tests(self, monkeypatch):
+        # PAIRED_TESTS at tests 62 to 69, after 62 copies of a one-item test
+        # on item 12, so the uncovered tests of most outcomes lie on both
+        # sides of test 64: they are decoded to the reference's sets and
+        # searched exactly as the oracle says.
+        d = new_design([{12}] * 62 + PAIRED_TESTS, 13)
+        images = sorted({helpers.outcome_signature(d, k) for k in range(1 << d.n)})
+        searched = self._record_searches(monkeypatch)
+        for p in (0.1, 0.5):
+            searched.clear()
+            got = self._decode_outcomes(self._map_decoder(d, p), d, images)
+            assert got == [helpers.map_reference(d, sig, p) for sig in images]
+            assert sorted(searched) == [s for s in images if helpers.map_search_needed(d, s)]
+        wide = {3: 0, 4: 0, 5: 0}
+        for sig in images:
+            estimate = helpers.dd_reference(d, sig)
+            uncovered = [t for t, row in enumerate(d.row_masks) if sig >> t & 1 and not row & estimate]
+            size = _completion_size(d, sig)
+            if uncovered and uncovered[0] < 64 <= uncovered[-1] and size in wide:
+                wide[size] += 1
+        assert wide[3] > 20 and wide[4] > 10 and wide[5] > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 22])
+    def test_heavy_test_completions_in_chunks_of_any_size(self, chunk, monkeypatch):
+        # An outcome whose first uncovered test is the 20-item one may hold
+        # 20^3 rows at the last level, so the pass takes one outcome a chunk
+        # below the default budget and 174 at it.  Any chunk size gives the
+        # reference's sets on the sampled outcomes and searches the same ones.
+        d, sigs, expected, needed = _heavy_case()
+        deep = 0
+        for sig, estimate in zip(sigs, expected):
+            forced = helpers.dd_reference(d, sig)
+            if sig & 1 and not d.row_masks[0] & forced and (estimate & ~forced).bit_count() in (3, 4):
+                deep += 1
+        assert deep > 5 and needed
+        monkeypatch.setattr(sim, "CHUNK_ELEMENTS", chunk)
+        searched = self._record_searches(monkeypatch)
+        for p in (0.1, 0.5):
+            searched.clear()
+            assert self._decode_outcomes(self._map_decoder(d, p), d, sigs) == expected
+            assert sorted(searched) == needed
+
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_completions_in_chunks_of_any_size(self, chunk, monkeypatch):
-        # The completion pass splits the new outcomes of a block into chunks of
-        # CHUNK_ELEMENTS // ((n + 1) * ceil(T/64)); any chunk size gives the
-        # reference's sets and searches the same outcomes.
+        # The completion pass splits the new outcomes of a block, and the rows
+        # of each level, into chunks sized from CHUNK_ELEMENTS; any chunk size
+        # gives the reference's sets and searches the same outcomes.
         rng = np.random.default_rng(52)
         designs = [gen_doubly_regular(12, 2, 3, seed=3), new_design(DOUBLED_TESTS, 12)]
         designs += [helpers.random_messy_design(rng, int(rng.integers(2, 10)), 7) for _ in range(8)]
@@ -699,7 +779,7 @@ class TestMonteCarlo:
 
     def test_each_outcome_decoded_once_across_blocks(self, monkeypatch):
         # No outcome is decoded twice, and only the distinct outcomes that DD's
-        # estimate leaves unexplained and no one or two items complete reach
+        # estimate leaves unexplained and no four items complete reach
         # decode_mask; for p > 1/2 COMP's estimate explains every outcome, so
         # decode_mask is never called.
         d = gen_doubly_regular(30, 2, 3, seed=5)
