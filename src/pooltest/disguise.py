@@ -46,7 +46,7 @@ class DisguiseReport:
 
     ``mean_log_bound`` averages the per-item log bounds; the same quantity
     recomputed test-by-test is kept alongside as a cross-check.  When the
-    chain applies (T <= n, all weights >= 2) the values satisfy
+    chain applies (1 <= T <= n, all weights >= 2) the values satisfy
     mean >= scaled_min_term >= min_weight_term >= l_star.
     """
 
@@ -223,10 +223,12 @@ def _binomials() -> np.ndarray:
 
 def _pattern_counts(
     design: TestDesign, items: np.ndarray, budget: int
-) -> list[tuple[int, ...] | None]:
-    """For each of ``items``, count by defective count j the co-item patterns
-    that totally disguise it; None for an item with more than ``budget`` (at
-    most `CO_ITEM_BUDGET`) co-items.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of ``items`` with at most ``budget`` (at most `CO_ITEM_BUDGET`)
+    co-items, count by defective count j the co-item patterns that totally
+    disguise it.  Returns, per item, whether it was counted, its co-item count
+    m and its counts, one row of ``budget + 1`` columns (0 past m): the table
+    `Prior.probability` weighs.  A skipped item has m = 0 and a row of zeros.
 
     Only the m items sharing a test with item i can affect the event, which
     holds when every test containing i holds a defective other than i, that
@@ -247,7 +249,9 @@ def _pattern_counts(
     design size budget keeps T * n within it.
     """
     inc = design.incidence
-    counts: list[tuple[int, ...] | None] = [None] * len(items)
+    counted = np.zeros(len(items), dtype=bool)
+    sizes = np.zeros(len(items), dtype=np.intp)
+    counts = np.zeros((len(items), budget + 1), dtype=np.int64)
     tests = inc.item_tests[items]
     weights = np.array(design.weights + (0,))
     eligible = np.flatnonzero((weights[tests] <= budget + 1).all(axis=1))
@@ -270,21 +274,22 @@ def _pattern_counts(
         for size in set(m[~by_terms].tolist()):
             rows = np.flatnonzero(~by_terms & (m == size))
             table[rows, :size + 1] = _walk(sets[rows, :d[rows].max()], size)
-        for i, row, size in zip(block.tolist(), table.tolist(), m.tolist()):
-            counts[i] = tuple(row[:size + 1])
-    return counts
+        counted[block] = True
+        sizes[block] = m
+        counts[block] = table
+    return counted, sizes, counts
 
 
 def exact_disguise_prob(design: TestDesign, i: int, prior: Prior) -> float:
     """Exact probability that item i is totally disguised, from exact pattern counts."""
     _check_item(design, i)
-    (counts,) = _pattern_counts(design, np.array([i]), CO_ITEM_BUDGET)
-    if counts is None:
+    counted, m, counts = _pattern_counts(design, np.array([i]), CO_ITEM_BUDGET)
+    if not counted[0]:
         raise BudgetExceededError(
             f"item {i} shares tests with more than {CO_ITEM_BUDGET} items, "
             "the enumeration budget"
         )
-    return prior.probability(counts)
+    return float(prior.probability(counts[0], m[0]))
 
 
 def mean_log_bound(
@@ -295,25 +300,21 @@ def mean_log_bound(
     The item-averaged log bound is also recomputed by summing over tests
     (weight w contributes w * ln(1 - q^(w-1))); the two must agree.  When
     ``exact_budget`` is given, items whose co-item count fits the budget also
-    get their exact disguise probability, all counted in one pass; a negative
-    budget raises ValueError.
+    get their exact disguise probability, all counted and weighed in one pass
+    each; a negative budget raises ValueError.
     """
     if exact_budget is not None and exact_budget < 0:
         raise ValueError(f"exact budget must be nonnegative, got {exact_budget}")
     n = design.n
     everyone = np.arange(n)
-    if exact_budget is None:
-        counts = [None] * n
-    else:
-        counts = _pattern_counts(design, everyone, min(exact_budget, CO_ITEM_BUDGET))
+    exact: list[float | None] = [None] * n
+    if exact_budget is not None:
+        counted, m, counts = _pattern_counts(design, everyone, min(exact_budget, CO_ITEM_BUDGET))
+        values = prior.probability(counts, m).tolist()
+        exact = [value if c else None for value, c in zip(values, counted.tolist())]
     items = [
-        ItemDisguise(
-            item=i,
-            log_bound=log_b,
-            fkg_bound=math.exp(log_b),
-            exact_prob=None if c is None else prior.probability(c),
-        )
-        for i, (log_b, c) in enumerate(zip(_log_bounds(design, prior, everyone), counts))
+        ItemDisguise(item=i, log_bound=log_b, fkg_bound=math.exp(log_b), exact_prob=e)
+        for i, (log_b, e) in enumerate(zip(_log_bounds(design, prior, everyone), exact))
     ]
 
     mean_items = sum(it.log_bound for it in items) / n if n else 0.0
@@ -322,7 +323,7 @@ def mean_log_bound(
     min_term = min(per_test) if per_test else None
     scaled = (design.T / n) * min_term if (min_term is not None and n) else None
     ls, _ = bounds.l_star(prior)
-    applicable = design.T <= n and all(w >= 2 for w in design.weights)
+    applicable = 1 <= design.T <= n and all(w >= 2 for w in design.weights)
     return DisguiseReport(
         items=tuple(items),
         mean_log_bound=mean_items,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,11 +39,30 @@ class Prior:
         """Prior probability of one particular defective set of the given size."""
         return self.p**defectives * self.q ** (n - defectives)
 
-    def probability(self, counts: Sequence[int]) -> float:
-        """Prior probability of an event over m = len(counts) - 1 items that holds
-        on counts[j] sets of size j: the sum of counts[j] p^j q^(m-j)."""
-        m = len(counts) - 1
-        return float(sum(c * self.weight(j, m) for j, c in enumerate(counts) if c))
+    def probability(self, counts: np.ndarray, m: np.ndarray | int) -> np.ndarray:
+        """Prior probability of each row's event: the row counts[r] (r any index
+        of counts' leading axes, or none for one row) holds on counts[r][j] sets
+        of j of its m[r] items, so its probability is the sum over j of
+        counts[r][j] p^j q^(m[r]-j).  Columns past m[r] weigh 0.
+
+        One pass for any number of rows: `np.add.accumulate` (`np.cumsum`) adds
+        each row's terms as floats from j = 0 up, as a plain loop (and the
+        built-in `sum` up to Python 3.11) adds them, never pairwise as `np.sum`
+        does; a zero count adds 0.0, which changes no sum.
+        """
+        weights = _weights(self, counts.shape[-1]).take(m, axis=0)
+        return np.add.accumulate(counts * weights, axis=-1)[..., -1]
+
+
+@functools.lru_cache(maxsize=128)
+def _weights(prior: Prior, width: int) -> np.ndarray:
+    """Row m holds `Prior.weight` of each set size j = 0 .. m of m items, and 0
+    past m, for m below ``width``; read-only."""
+    table = np.zeros((width, width))
+    for m in range(width):
+        table[m, :m + 1] = [prior.weight(j, m) for j in range(m + 1)]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,8 @@ def exact_average_error(design: TestDesign, prior: Prior, decoder: DecoderId) ->
             f"exact error with {decoder.value} is limited to {budget} items; n = {design.n}"
         )
     success = _success_counts(design, prior, decoder)
-    return prior.probability([math.comb(design.n, j) - s for j, s in enumerate(success)])
+    errors = [math.comb(design.n, j) - s for j, s in enumerate(success)]
+    return float(prior.probability(np.array(errors), design.n))
 
 
 def _draw_lanes(bitgen: np.random.BitGenerator, p: float, n: int, s: int) -> np.ndarray:

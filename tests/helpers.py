@@ -7,6 +7,8 @@ results are checked against code that shares none of their shortcuts.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import itertools
 import math
 
@@ -80,6 +82,26 @@ def reference_decoder(design: TestDesign, sig: int, decoder, prior: Prior) -> in
 def set_weight(p: float, k_mask: int, n: int) -> float:
     k = bin(k_mask).count("1")
     return p**k * (1.0 - p) ** (n - k)
+
+
+def prior_probability_reference(p: float, counts) -> float:
+    """Sum of counts[j] p^j q^(m-j) over m = len(counts) - 1 items, one term at a
+    time from j = 0 up, skipping zero counts."""
+    q, m = 1.0 - p, len(counts) - 1
+    total = 0.0
+    for j, c in enumerate(counts):
+        if c:
+            total += c * (p**j * q ** (m - j))
+    return total
+
+
+def to_dict_reference(report) -> dict:
+    """`serialize.to_dict` as `dataclasses.asdict` gives it, deep copies included."""
+
+    def enum_values(pairs):
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in pairs}
+
+    return dataclasses.asdict(report, dict_factory=enum_values)
 
 
 def scan_l_star(p: float, w_max: int = 10**4) -> tuple[float, int]:

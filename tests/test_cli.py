@@ -491,6 +491,12 @@ class TestDisguiseCommand:
     def test_missing_file(self, capsys):
         assert run(["disguise", "--design", "/nonexistent/x.txt", "-p", "0.5"]) == 1
 
+    def test_chain_not_applicable_without_tests(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("0 0\n")
+        assert run(["disguise", "--design", str(f), "-p", "0.3"]) == 0
+        assert out_lines(capsys)[-1] == "0,0,,,-2.40794560865,false"
+
     def test_exact_budget_capped_at_co_item_budget(self, tmp_path, capsys):
         # items 0-26 share one 27-item test, so each has 26 co-items: over the cap of 25
         f = tmp_path / "wide.txt"

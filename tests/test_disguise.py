@@ -34,6 +34,18 @@ import helpers
 P_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
+def pattern_counts(design, items):
+    """`disguise._pattern_counts` per item of ``items``: its counts for j = 0 .. m
+    as a tuple, or None where it was skipped; every count past m must be 0."""
+    counted, m, table = disguise._pattern_counts(design, np.array(items), CO_ITEM_BUDGET)
+    assert table.shape == (len(items), CO_ITEM_BUDGET + 1)
+    out = []
+    for c, size, row in zip(counted.tolist(), m.tolist(), table.tolist()):
+        assert not any(row[size + 1:]) and (c or size == 0)
+        out.append(tuple(row[:size + 1]) if c else None)
+    return out
+
+
 class TestDisguiseBound:
     def test_two_disjoint_tests(self):
         d = new_design([{0, 1}, {0, 2}], 3)
@@ -139,9 +151,9 @@ class TestPatternCounts:
         assert [len(co_items(self.REGULAR, i)) for i in (0, 71, 143)] == [16, 16, 16]
         for d, items in cases:
             expected = [helpers.disguise_counts_reference(d, i) for i in items]
-            assert disguise._pattern_counts(d, np.array(items), CO_ITEM_BUDGET) == expected
-        assert disguise._pattern_counts(self.SOLO[0], np.array([0]), CO_ITEM_BUDGET) == [(0, 0, 0)]
-        assert disguise._pattern_counts(self.UNTESTED[0], np.array([0]), CO_ITEM_BUDGET) == [(1,)]
+            assert pattern_counts(d, items) == expected
+        assert pattern_counts(self.SOLO[0], [0]) == [(0, 0, 0)]
+        assert pattern_counts(self.UNTESTED[0], [0]) == [(1,)]
 
     def test_walk_only_when_minimal_co_sets_outnumber_co_items(self, monkeypatch):
         walked, walk = [], disguise._walk
@@ -169,11 +181,11 @@ class TestPatternCounts:
         # 144 x 2 x 9 members and CYCLE's walk of 2^13 patterns, against one
         # pass each
         designs = [self.CHAIN[0], self.PAIRS[0], self.REGULAR, self.CYCLE[0], self.SHARED_M]
-        whole = [disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET) for d in designs]
+        whole = [pattern_counts(d, range(d.n)) for d in designs]
         for chunk in (1, 7, 1000):
             monkeypatch.setattr(disguise, "CHUNK_ELEMENTS", chunk)
             for d, counts in zip(designs, whole):
-                assert disguise._pattern_counts(d, np.arange(d.n), CO_ITEM_BUDGET) == counts
+                assert pattern_counts(d, range(d.n)) == counts
 
     def test_no_reference_kept_to_design(self):
         d = gen_doubly_regular(36, 2, 6, seed=2)
@@ -221,6 +233,14 @@ class TestMeanLogBound:
         assert report.mean_log_bound_by_test == 0.0
         assert report.min_weight_term is None
         assert all(it.log_bound == 0.0 for it in report.items)
+
+    def test_chain_not_applicable_without_tests(self):
+        # no test leaves two chain links None, so there is no chain to compare
+        for d in (new_design([], 3), TestDesign(n=0, row_masks=())):
+            report = mean_log_bound(d, Prior(0.3), exact_budget=25)
+            assert report.min_weight_term is None and report.scaled_min_term is None
+            assert not report.chain_applicable
+        assert mean_log_bound(new_design([{0, 1}], 3), Prior(0.3)).chain_applicable
 
     def test_identity_design_flagged(self):
         report = mean_log_bound(gen_individual(3), Prior(0.4))
@@ -316,7 +336,8 @@ class TestMeanLogBound:
                             assert it.exact_prob is None
                             continue
                         assert repr(it.exact_prob) == repr(exact_disguise_prob(d, i, prior))
-                        assert repr(it.exact_prob) == repr(prior.probability(reference(d, i)))
+                        assert repr(it.exact_prob) == repr(
+                            helpers.prior_probability_reference(p, reference(d, i)))
         assert [len(co_items(skip, i)) for i in (26, 27)] == [26, CO_ITEM_BUDGET]
 
     def test_no_per_item_calls(self, monkeypatch):

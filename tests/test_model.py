@@ -1,5 +1,7 @@
 """Tests for the prior, defective sets, and the OR outcome channel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,46 @@ class TestPrior:
         pr = Prior(0.3)
         assert pr.weight(1, 2) == pytest.approx(0.21)
         assert pr.weight(0, 2) == pytest.approx(0.49)
+
+    PROBABILITY_GRID = (1e-3, 0.05, 0.3, 0.5, 0.7, 0.999)
+
+    @staticmethod
+    def random_counts(rng, m):
+        """Counts c_j <= C(m, j), a quarter of them 0, for j = 0 .. m."""
+        return [int(rng.integers(0, math.comb(m, j) + 1)) * int(rng.random() < 0.75)
+                for j in range(m + 1)]
+
+    def test_probability_row_by_row(self):
+        rng = np.random.default_rng(40)
+        for p in self.PROBABILITY_GRID:
+            prior = Prior(p)
+            for m in range(26):
+                rows = [self.random_counts(rng, m) for _ in range(4)]
+                rows += [[math.comb(m, j) for j in range(m + 1)], [0] * (m + 1)]
+                for counts in rows:
+                    value = float(prior.probability(np.array(counts), m))
+                    assert repr(value) == repr(helpers.prior_probability_reference(p, counts))
+
+    def test_probability_mixed_table_in_one_call(self):
+        rng = np.random.default_rng(41)
+        m = rng.integers(0, 26, size=300)
+        rows = [self.random_counts(rng, size) for size in m.tolist()]
+        table = np.zeros((len(rows), 26), dtype=np.int64)
+        for r, counts in enumerate(rows):
+            table[r, :len(counts)] = counts
+        for p in self.PROBABILITY_GRID:
+            values = Prior(p).probability(table, m).tolist()
+            assert [repr(v) for v in values] == [
+                repr(helpers.prior_probability_reference(p, counts)) for counts in rows
+            ]
+
+    def test_probability_empty_table_and_no_items(self):
+        prior = Prior(0.3)
+        empty = prior.probability(np.zeros((0, 26), dtype=np.int64), np.zeros(0, dtype=np.intp))
+        assert empty.shape == (0,)
+        # over m = 0 items the event holds on the empty set or on nothing
+        assert prior.probability(np.array([[1], [0]]), np.array([0, 0])).tolist() == [1.0, 0.0]
+        assert float(prior.probability(np.array([1]), 0)) == 1.0
 
 
 class TestDefectiveSet:
