@@ -8,7 +8,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import BudgetExceededError, InconsistentOutcomeError
-from .model import DefectiveSet, OutcomeVector, Prior, fold_lanes, lane_columns
+from .model import DefectiveSet, OutcomeVector, Prior, fold_lanes, from_lanes, lane_columns
 
 MAP_ITEM_BUDGET = 30
 
@@ -19,40 +19,13 @@ class DecoderId(enum.Enum):
     MAP = "map"
 
 
-def _check_length(design: TestDesign, y: OutcomeVector) -> None:
-    if len(y) != design.T:
-        raise ValueError(f"outcome vector has {len(y)} bits but the design has {design.T} tests")
-
-
-def _survivors(design: TestDesign, y_sig: int) -> tuple[int, list[int]]:
-    """The COMP survivors (items in no negative test) and each positive test's survivors."""
-    positive = []
-    negative_union = 0
-    for t, mask in enumerate(design.row_masks):
-        if y_sig >> t & 1:
-            positive.append(mask)
-        else:
-            negative_union |= mask
-    pd = ((1 << design.n) - 1) & ~negative_union
-    return pd, [mask & pd for mask in positive]
-
-
-def _sole_survivors(tests: list[int]) -> int:
-    """The items that are the sole survivor of some positive test; they must be defective."""
-    forced = 0
-    for survivors in tests:
-        if survivors & (survivors - 1) == 0:
-            forced |= survivors
-    return forced
-
-
 def comp_block(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     """COMP on a block of outcomes held in bit lanes, one row per test (T x W uint64).
 
     Returns the lanes of the estimates, one row per item (n x W): an item's
     lane is the AND of its tests' lanes, so it keeps the trials in which no
-    test of the item is negative.  Trial r equals `decode_mask` with COMP of
-    trial r's outcome.  An item in no test is all ones, padding bits included.
+    test of the item is negative.  An item in no test is all ones, padding
+    bits included.  `decode_mask` runs it on a block of one trial.
     """
     return fold_lanes(positive, design.incidence.item_tests, np.bitwise_and)
 
@@ -64,9 +37,9 @@ def dd_block(design: TestDesign, positive: np.ndarray, survivors: np.ndarray | N
     survivors that are the sole survivor of some positive test.  Each test
     ORs its survivors' lanes into ``once``, and into ``twice`` where ``once``
     was already set, so ``once & ~twice`` marks the trials in which it holds
-    exactly one survivor; a negative test holds none.  Trial r equals
-    `decode_mask` with DD of trial r's outcome.  A caller that already holds
-    the block's `comp_block` lanes passes them as ``survivors``.
+    exactly one survivor; a negative test holds none.  A caller that already
+    holds the block's `comp_block` lanes passes them as ``survivors``.
+    `decode_mask` runs it on a block of one trial.
     """
     test_items, item_tests = design.incidence
     if survivors is None:
@@ -119,67 +92,82 @@ def _hitting_set(tests: list[int], budget: int) -> int | None:
     return None
 
 
-def map_mask(design: TestDesign, y_sig: int, prior: Prior) -> int:
-    """Exact MAP: the consistent set of maximal prior weight.
+def _least_completion(tests: list[int]) -> int:
+    """The hitting set of ``tests`` of least (size, bitmask), given none is empty.
 
-    Consistent sets live inside the COMP survivors and must cover every
-    positive test.  For p > 1/2 the survivor set itself is the unique maximal
-    answer.  Otherwise prior weight is nonincreasing in size, so MAP is the
-    smallest satisfying set: the items forced by a positive test with a single
-    survivor, plus a minimum hitting set of the positive tests they leave
-    uncovered, ties broken toward the smallest bitmask.  The minimum size k is
-    found by iterative deepening from the packing bound (`_hitting_set`); then
-    the items of a size-k witness are decided from the highest down, dropping
-    each one whenever a size-k hitting set avoids it and every higher dropped
-    item.
+    The minimum size k is found by iterative deepening from the packing bound
+    (`_hitting_set`); then the items of a size-k witness are decided from the
+    highest down, dropping each one whenever a size-k hitting set avoids it
+    and every higher dropped item.
     """
-    _check_map_budget(design.n)
-    pd, tests = _survivors(design, y_sig)
-    if 0 in tests:
-        raise InconsistentOutcomeError(
-            "a positive test contains only items cleared by negative tests"
-        )
-    if prior.p > 0.5:
-        return pd
-
-    forced = _sole_survivors(tests)
-    tests = sorted((t for t in tests if not t & forced), key=int.bit_count)
-
+    tests = sorted(tests, key=int.bit_count)
     size = _packing_bound(tests)
     while (witness := _hitting_set(tests, size)) is None:
         size += 1
-    estimate = forced
+    completion = 0
     while witness:
         top = 1 << (witness.bit_length() - 1)
         below = [t & (top - 1) for t in tests]
         other = _hitting_set(below, size)
         if other is None:  # every smallest completion holds this item
-            estimate |= top
+            completion |= top
             size -= 1
             witness ^= top
             tests = [t for t in tests if not t & top]
         else:
             tests, witness = below, other
-    return estimate
+    return completion
+
+
+def _trial_mask(lanes: np.ndarray) -> int:
+    """The bitmask of the rows of a one-trial block of lanes (k x 1) that hold the trial."""
+    bits = from_lanes(lanes, 1)[0]
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior | None = None) -> int:
     """Decode one outcome signature with the chosen decoder; MAP requires a prior.
 
-    COMP declares defective the survivors, the items in no negative test; DD
-    declares the survivors that are the sole survivor of some positive test.
+    The outcome goes through the block kernels as a block of one trial (T x 1
+    lanes): COMP returns `comp_block`'s row and DD `dd_block`'s.  Exact MAP
+    (budget: `MAP_ITEM_BUDGET` items) returns the consistent set of maximal
+    prior weight.  Consistent sets live inside the COMP survivors and must
+    cover every positive test, so an outcome with a positive test of no
+    survivor raises `InconsistentOutcomeError`.  For p > 1/2 the survivor set
+    itself is the unique maximal answer.  Otherwise prior weight is
+    nonincreasing in size, so MAP is the smallest satisfying set: DD's set,
+    the items some positive test holds as its sole survivor, ORed with the
+    least completion (`_least_completion`) of the positive tests it leaves
+    uncovered, cut down to the survivors.
     """
     if decoder is DecoderId.MAP:
         if prior is None:
             raise ValueError("MAP decoding requires a prior")
-        return map_mask(design, y_sig, prior)
-    survivors, tests = _survivors(design, y_sig)
-    return survivors if decoder is DecoderId.COMP else _sole_survivors(tests)
+        _check_map_budget(design.n)
+    positive = np.array([y_sig >> t & 1 for t in range(design.T)], dtype=np.uint64)[:, None]
+    comp = comp_block(design, positive)
+    if decoder is DecoderId.COMP:
+        return _trial_mask(comp)
+    dd = _trial_mask(dd_block(design, positive, comp))
+    if decoder is DecoderId.DD:
+        return dd
+    survivors = _trial_mask(comp)
+    tests = [
+        mask & survivors
+        for t, mask in enumerate(design.row_masks)
+        if y_sig >> t & 1 and not mask & dd
+    ]
+    if 0 in tests:
+        raise InconsistentOutcomeError(
+            "a positive test contains only items cleared by negative tests"
+        )
+    return survivors if prior.p > 0.5 else dd | _least_completion(tests)
 
 
 def decode(
     design: TestDesign, y: OutcomeVector, decoder: DecoderId, prior: Prior | None = None
 ) -> DefectiveSet:
     """Decode an outcome vector with the chosen decoder; MAP requires a prior."""
-    _check_length(design, y)
+    if len(y) != design.T:
+        raise ValueError(f"outcome vector has {len(y)} bits but the design has {design.T} tests")
     return DefectiveSet(n=design.n, mask=decode_mask(design, y.signature, decoder, prior))

@@ -149,7 +149,7 @@ def _small_completions(
     design: TestDesign, item_words: np.ndarray, uncovered: np.ndarray, survivor: np.ndarray
 ) -> np.ndarray:
     """For each of m outcomes, the mask of the completion of at most `COMPLETION_ITEMS` items
-    `map_mask` adds, or 0.
+    `decode_mask`'s MAP adds to DD's set, or 0.
 
     ``uncovered`` (T x m) marks each outcome's positive tests that hold no item
     of DD's estimate, at least one per outcome, and ``survivor`` (n x m) its
@@ -161,7 +161,7 @@ def _small_completions(
     survivor.  An outcome is settled at the first level where a row fits,
     with its least candidate; otherwise each row branches on the survivors
     of the first test it misses.  That candidate is the completion of least
-    (size, bitmask), which `map_mask` returns: a smallest completion C has an
+    (size, bitmask), which `decode_mask` adds: a smallest completion C has an
     item x1 in the first uncovered test, x2 in the first test x1 misses, and
     so on, and the row of those items takes a last item no higher than C's.
     An outcome holds at most w^(j-1) rows at level j, w being the most items
@@ -223,14 +223,14 @@ def _map_block(design: TestDesign, prior: Prior):
 
     Like `dd_block`, it returns the estimates' lanes (n x W), and it starts
     from DD's: a trial whose estimate reproduces its outcome keeps it, since
-    `map_mask` returns that set there (DD's set is its forced set and leaves
+    `decode_mask` returns that set there (DD's set is its forced set and leaves
     no positive test to cover).  So does a trial whose COMP survivors do not
     reproduce its outcome: no set produces that outcome, and DD's estimate,
     like any set, does not reproduce it.  Only the other trials are gathered
     from the lanes, by byte and bit index (`_gather`), and each of their
     distinct outcomes is decoded once across all calls, through one cache
     keyed by the packed outcome.  An outcome new to the cache that at most
-    `COMPLETION_ITEMS` items complete caches the completion `map_mask` would
+    `COMPLETION_ITEMS` items complete caches the completion `decode_mask` would
     add to DD's set (`_small_completions`); the rest cache `decode_mask`'s
     estimate.  MAP's estimate holds DD's set, its forced items, so either,
     ORed into the DD lanes in place, gives it (`_write_back`).
@@ -278,7 +278,7 @@ def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
     channel image differs from it, as no set reproduces it.  COMP and DD
     decode by word operations over the incidence lists (`comp_block`,
     `dd_block`).  MAP checks its item budget at once; for p > 1/2 it decodes
-    as COMP, since `map_mask` returns the COMP survivors of every outcome some
+    as COMP, since `decode_mask` returns the COMP survivors of every outcome some
     set produces, and for p <= 1/2 through its outcome cache (`_map_block`).
     """
     if decoder is DecoderId.MAP:
@@ -294,17 +294,6 @@ def _misses(design: TestDesign, decode_block, sets: np.ndarray, s: int) -> np.nd
     """One flag for each of the s defective sets in lanes (n x W): whether
     ``decode_block`` does not return the set from its outcome."""
     return _differs(decode_block(_or_channel(design, sets), s), sets, s)
-
-
-def _error_tally(design: TestDesign, prior: Prior, decoder: DecoderId):
-    """Return ``wrong(sets, s)``, which flags the defective sets the decoder gets wrong.
-
-    ``sets`` holds a block of s defective sets in lanes (n x W).  The block
-    goes through the OR channel, and the decoder estimates the whole block of
-    outcomes at once (`_block_decoder`).
-    """
-    decode_block = _block_decoder(design, prior, decoder)
-    return lambda sets, s: _misses(design, decode_block, sets, s)
 
 
 def _success_counts(design: TestDesign, prior: Prior, decoder: DecoderId) -> list[int]:
@@ -445,19 +434,20 @@ def monte_carlo_error(
     deterministic function of (inputs, master_seed, workers).  Each block is
     drawn whole, straight into bit lanes from the substream's raw 64-bit words,
     each item defective with probability exactly p, and decoded in chunks (see
-    `_sampler`).
+    `_sampler`): each chunk goes through the OR channel, and the decoder
+    estimates its whole block of outcomes at once (`_block_decoder`, `_misses`).
     """
     _check_run(trials, master_seed, workers)
     sample = _sampler(design, prior.p)
     nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    wrong = _error_tally(design, prior, decoder)
+    decode_block = _block_decoder(design, prior, decoder)
     total = 0
     for w in range(min(workers, nblocks)):
         rng = np.random.default_rng([master_seed, w])
         for b in range(w, nblocks, workers):
             size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
             for sets, s in sample(rng, size):
-                total += int(np.count_nonzero(wrong(sets, s)))
+                total += int(np.count_nonzero(_misses(design, decode_block, sets, s)))
     return _sim_result(total, trials, master_seed, decoder)
 
 

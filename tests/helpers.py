@@ -180,14 +180,19 @@ def map_search_needed(design: TestDesign, sig: int) -> bool:
 def exact_error_reference(design: TestDesign, p: float, decoder) -> float:
     """Exact average error by a per-set loop: OR channel, decode, tally by set size.
 
-    Errors are counted per defective-set size and summed in increasing size,
-    so the float agrees exactly with a correct batched enumeration.
+    Each distinct outcome is decoded once.  Errors are counted per
+    defective-set size and summed in increasing size, so the float agrees
+    exactly with a correct batched enumeration.
     """
     prior = Prior(p)
     n = design.n
+    decoded: dict[int, int] = {}
     errors_by_size = [0] * (n + 1)
     for k in range(1 << n):
-        if reference_decoder(design, outcome_signature(design, k), decoder, prior) != k:
+        sig = outcome_signature(design, k)
+        if sig not in decoded:
+            decoded[sig] = reference_decoder(design, sig, decoder, prior)
+        if decoded[sig] != k:
             errors_by_size[bin(k).count("1")] += 1
     return float(sum(c * (p**j * (1.0 - p) ** (n - j)) for j, c in enumerate(errors_by_size) if c))
 

@@ -18,7 +18,8 @@ from pooltest import (
     outcomes,
 )
 
-from pooltest.decode import comp_block, dd_block, decode, map_mask
+from pooltest import decode as decode_module
+from pooltest.decode import _least_completion, comp_block, dd_block, decode, decode_mask
 from pooltest.model import from_lanes, to_lanes
 
 import helpers
@@ -101,9 +102,46 @@ class TestMap:
         y = OutcomeVector.from_string("1")
         assert decode(d, y, DecoderId.COMP).mask == helpers.comp_reference(d, y.signature)
         assert decode(d, y, DecoderId.DD).mask == helpers.dd_reference(d, y.signature)
-        assert decode(d, y, DecoderId.MAP, Prior(0.3)).mask == map_mask(d, y.signature, Prior(0.3))
+        assert decode(d, y, DecoderId.MAP, Prior(0.3)).mask == decode_mask(
+            d, y.signature, DecoderId.MAP, Prior(0.3)
+        )
         with pytest.raises(ValueError):
             decode(d, y, DecoderId.MAP)
+
+    def test_one_comp_pass_per_call(self, monkeypatch):
+        # Every decoder runs comp_block once on its block of one trial: DD and
+        # MAP take their survivors from that pass.
+        comp, calls = decode_module.comp_block, []
+
+        def counting(design, positive):
+            calls.append(positive.shape)
+            return comp(design, positive)
+
+        monkeypatch.setattr(decode_module, "comp_block", counting)
+        d = new_design([{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {1, 3}], 10)
+        y = OutcomeVector.from_string("111111")
+        for decoder, prior in ((DecoderId.COMP, None), (DecoderId.DD, None),
+                               (DecoderId.MAP, Prior(0.3)), (DecoderId.MAP, Prior(0.7))):
+            calls.clear()
+            decode(d, y, decoder, prior)
+            assert calls == [(d.T, 1)]
+
+
+def _least_hitting_set(tests, n):
+    """The hitting set of least (size, bitmask) of ``tests`` over n items, by a walk of all 2^n sets."""
+    return min(
+        (k for k in range(1 << n) if all(k & t for t in tests)),
+        key=lambda k: (k.bit_count(), k),
+    )
+
+
+def test_least_completion_matches_brute_force():
+    assert _least_completion([]) == 0
+    rng = np.random.default_rng(63)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        tests = [int(t) for t in rng.integers(1, 1 << n, size=int(rng.integers(0, 7)))]
+        assert _least_completion(tests) == _least_hitting_set(tests, n)
 
 
 @st.composite
@@ -219,7 +257,7 @@ class TestMapOptimality:
 
 
 class TestMapSearch:
-    """`map_mask` against the subset walk `helpers.map_reference`, outcome by outcome."""
+    """MAP's `decode_mask` against the subset walk `helpers.map_reference`, outcome by outcome."""
 
     # The reference walks up to 2^m subsets of m survivors.
     REFERENCE_SURVIVORS = 20
@@ -230,9 +268,9 @@ class TestMapSearch:
             expected = helpers.map_reference(design, sig, p)
             if expected is None:
                 with pytest.raises(InconsistentOutcomeError):
-                    map_mask(design, sig, Prior(p))
+                    decode_mask(design, sig, DecoderId.MAP, Prior(p))
             else:
-                assert map_mask(design, sig, Prior(p)) == expected
+                assert decode_mask(design, sig, DecoderId.MAP, Prior(p)) == expected
 
     def test_every_outcome_of_small_messy_designs(self):
         rng = np.random.default_rng(61)

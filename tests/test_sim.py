@@ -219,7 +219,9 @@ class TestExactAverageError:
         # Each block of outcomes goes through comp_block once, whichever the
         # decoder: DD takes its survivors from that pass, and MAP at 1/2 and
         # below hands them to DD and checks against them which outcomes some
-        # set produces.  The 2^13 outcomes are two blocks.
+        # set produces.  Each outcome MAP sends to sim.decode_mask's search
+        # adds one pass over a block of one trial.  The 2^13 outcomes are two
+        # blocks.
         d = new_design(
             [{0, 1, 2}, {3, 4}, {5, 6, 7}, {0, 8}, {9, 10}, {11, 12}, {1, 13}, {2, 3},
              {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}], 14)
@@ -231,11 +233,15 @@ class TestExactAverageError:
 
         monkeypatch.setattr(sim, "comp_block", counting)
         monkeypatch.setattr(decode_module, "comp_block", counting)
+        searched, searches = TestMapBlock._record_searches(monkeypatch), 0
         for decoder in DecoderId:
             for p in (0.3, 0.5, 0.7):
                 calls.clear()
+                searched.clear()
                 exact_average_error(d, Prior(p), decoder)
-                assert calls == [sim.BLOCK_TRIALS // 64] * 2
+                assert sorted(calls) == [1] * len(searched) + [sim.BLOCK_TRIALS // 64] * 2
+                searches += len(searched)
+        assert searches  # MAP at 1/2 and below searches some outcomes
 
     def test_mostly_non_images_match_per_set_loop(self):
         # The outcome walk hands the block decoders mostly outcomes no set
@@ -736,18 +742,13 @@ class TestMonteCarlo:
         trials = 2 * sim.BLOCK_TRIALS + 5
         whole = {dec: monte_carlo_error(d, Prior(0.3), dec, trials, 9, 2) for dec in DecoderId}
         chunks = []
-        original = sim._error_tally
+        original = sim._misses
 
-        def recording(*args):
-            wrong = original(*args)
+        def recording(design, decode_block, sets, s):
+            chunks.append(s)
+            return original(design, decode_block, sets, s)
 
-            def recorded(sets, s):
-                chunks.append(s)
-                return wrong(sets, s)
-
-            return recorded
-
-        monkeypatch.setattr(sim, "_error_tally", recording)
+        monkeypatch.setattr(sim, "_misses", recording)
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6 * 1000 + 5)  # 960 rows (15 words) of 6 items
         for decoder in DecoderId:
             chunks.clear()
