@@ -3,7 +3,6 @@
 from .bounds import (
     BoundReport,
     counting_bound,
-    doubly_regular_disguise_bound,
     epsilon_bound,
     epsilon_bound_delta,
     l_star,
@@ -38,7 +37,7 @@ from .errors import (
     InconsistentOutcomeError,
     ScanLimitError,
 )
-from .model import DefectiveSet, OutcomeVector, Prior, outcomes
+from .model import DefectiveSet, OutcomeVector, Prior
 from .serialize import from_dict, to_dict
 from .sim import (
     LemmaCheck,
@@ -71,7 +70,6 @@ __all__ = [
     "co_items",
     "counting_bound",
     "disguise_bound",
-    "doubly_regular_disguise_bound",
     "epsilon_bound",
     "epsilon_bound_delta",
     "exact_average_error",
@@ -86,7 +84,6 @@ __all__ = [
     "mean_log_bound",
     "monte_carlo_error",
     "new_design",
-    "outcomes",
     "parse_design",
     "reduce_design",
     "save_design",

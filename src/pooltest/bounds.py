@@ -102,9 +102,3 @@ def counting_bound(prior: Prior, n: int) -> float:
     p, q = prior.p, prior.q
     return items * (-p * math.log2(p) - q * math.log2(q))
 
-
-def doubly_regular_disguise_bound(prior: Prior, l: int, r: int) -> float:
-    """Disguise floor (1 - q^(r-1))^l for designs with l tests/item, r items/test."""
-    if l < 1 or r < 1:
-        raise ValueError("tests-per-item and items-per-test must be at least 1")
-    return (1.0 - prior.q ** (r - 1)) ** l

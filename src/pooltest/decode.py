@@ -138,8 +138,11 @@ def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior
     nonincreasing in size, so MAP is the smallest satisfying set: DD's set,
     the items some positive test holds as its sole survivor, ORed with the
     least completion (`_least_completion`) of the positive tests it leaves
-    uncovered, cut down to the survivors.
+    uncovered, cut down to the survivors.  A signature outside [0, 2^T)
+    raises ValueError.
     """
+    if not 0 <= y_sig < 1 << design.T:
+        raise ValueError(f"outcome signature {y_sig} lies outside [0, 2^{design.T})")
     if decoder is DecoderId.MAP:
         if prior is None:
             raise ValueError("MAP decoding requires a prior")

@@ -145,7 +145,7 @@ def _reindex_masks(masks: Iterable[int], items: Sequence[int]) -> list[int]:
     return out
 
 
-def _mask_from_indices(indices: Iterable[int], n: int) -> int:
+def _items_mask(indices: Iterable[int], n: int) -> int:
     mask = 0
     for i in indices:
         i = int(i)
@@ -160,7 +160,7 @@ def new_design(rows: Iterable[Iterable[int]], n: int) -> TestDesign:
     if n < 1:
         raise ValueError("a design needs at least one item")
     _check_size(0, n)
-    masks = tuple(_mask_from_indices(row, n) for row in rows)
+    masks = tuple(_items_mask(row, n) for row in rows)
     return TestDesign(n=n, row_masks=masks)
 
 
@@ -209,7 +209,7 @@ def gen_doubly_regular(n: int, l: int, r: int, seed: int) -> TestDesign:
         matched = rng.permutation(stubs).reshape(T, r)
         srt = np.sort(matched, axis=1)
         if r == 1 or bool((srt[:, 1:] != srt[:, :-1]).all()):
-            masks = tuple(_mask_from_indices(row, n) for row in matched)
+            masks = tuple(_items_mask(row, n) for row in matched)
             return TestDesign(n=n, row_masks=masks)
     raise DesignGenerationError(
         f"no collision-free stub matching found in {STUB_RETRY_BUDGET} attempts"
@@ -217,8 +217,6 @@ def gen_doubly_regular(n: int, l: int, r: int, seed: int) -> TestDesign:
 
 
 def _pack_row(row: np.ndarray) -> int:
-    if row.size == 0:
-        return 0
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 

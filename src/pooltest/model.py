@@ -1,4 +1,4 @@
-"""Defectivity prior, defective sets, the OR test channel, and bit lanes of trials and subsets.
+"""Defectivity prior, defective sets, outcome vectors, and bit lanes of trials and subsets.
 
 A block of s trials is held in bit lanes: a k x ceil(s/64) uint64 array whose
 row r belongs to one item (or test) and whose bit b of word w is trial
@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .design import TestDesign, _bit_positions, _mask_from_indices
+from .design import _bit_positions
 
 BLOCK_TRIALS = 4096
 # Most values one pass over a design may hold: a decoded chunk of trials, or in
@@ -78,22 +78,9 @@ class DefectiveSet:
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError("defective-set mask has bits outside the universe")
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> DefectiveSet:
-        return cls(n=n, mask=_mask_from_indices(indices, n))
-
     @property
     def indices(self) -> tuple[int, ...]:
         return _bit_positions(self.mask)
-
-    def __contains__(self, item: int) -> bool:
-        return 0 <= item < self.n and bool(self.mask >> item & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -108,9 +95,6 @@ class OutcomeVector:
             raise ValueError(f"outcome string must contain only 0/1, got {text!r}")
         return cls(tuple(c == "1" for c in text))
 
-    def to_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
     @property
     def signature(self) -> int:
         sig = 0
@@ -121,16 +105,6 @@ class OutcomeVector:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-
-def outcomes(design: TestDesign, defectives: DefectiveSet) -> OutcomeVector:
-    """Test t is positive iff it contains at least one defective item."""
-    if defectives.n != design.n:
-        raise ValueError(
-            f"defective set is over {defectives.n} items but the design has {design.n}"
-        )
-    k = defectives.mask
-    return OutcomeVector(tuple(bool(m & k) for m in design.row_masks))
 
 
 @functools.cache

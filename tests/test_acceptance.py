@@ -14,14 +14,12 @@ import pytest
 from pooltest import (
     DecoderId,
     Prior,
-    disguise_bound,
-    doubly_regular_disguise_bound,
     epsilon_bound,
     exact_average_error,
-    exact_disguise_prob,
     gen_bernoulli,
     gen_doubly_regular,
     gen_individual,
+    mean_log_bound,
     monte_carlo_error,
     new_design,
     reduce_design,
@@ -81,10 +79,10 @@ def test_criterion_2_lemma_suite(capsys):
         T = int(rng.integers(1, 13))
         design = helpers.random_min2_design(rng, n, T)
         for p in P_GRID:
-            prior = Prior(p)
-            for i in range(n):
-                _, bound = disguise_bound(design, i, prior)
-                exact = exact_disguise_prob(design, i, prior)
+            # one pass per design gives every item's product bound and exact
+            # probability; at most 11 co-items each, so every item is counted
+            for item in mean_log_bound(design, Prior(p), exact_budget=25).items:
+                exact, bound = item.exact_prob, item.fkg_bound
                 worst_gap = min(worst_gap, exact - bound)
                 ok = ok and exact >= bound - 1e-12
 
@@ -98,9 +96,8 @@ def test_criterion_2_lemma_suite(capsys):
             next_item += w - 1
         design = new_design(rows, next_item)
         for p in P_GRID:
-            prior = Prior(p)
-            _, bound = disguise_bound(design, 0, prior)
-            exact = exact_disguise_prob(design, 0, prior)
+            item = mean_log_bound(design, Prior(p), exact_budget=25).items[0]
+            exact, bound = item.exact_prob, item.fkg_bound
             equality_ok = equality_ok and math.isclose(
                 exact, bound, rel_tol=1e-10, abs_tol=1e-12
             )
@@ -165,14 +162,16 @@ def test_criterion_5_individual_testing_baseline(capsys):
 
 def test_criterion_6_doubly_regular_floor(capsys):
     prior = Prior(0.3)
-    floor = doubly_regular_disguise_bound(prior, 2, 4)
     derived = (1 - 0.7**3) ** 2
-    ok = abs(floor - derived) <= 1e-12
+    ok = True
     details = []
     independent = 0
     for n in (16, 32, 64):
         design = gen_doubly_regular(n, 2, 4, seed=100 + n)
-        exact = exact_disguise_prob(design, 0, prior)
+        items = mean_log_bound(design, prior, exact_budget=25).items
+        # every item's product bound is the doubly regular floor (1 - q^3)^2
+        ok = ok and all(abs(item.fkg_bound - derived) <= 1e-12 for item in items)
+        floor, exact = items[0].fkg_bound, items[0].exact_prob
         ok = ok and exact >= floor - sim.FLOOR_TOLERANCE
         # When item 0's two tests share no co-item, their disguise events are
         # independent and the floor holds with equality.

@@ -1,4 +1,5 @@
-"""Tests for the scalar floors: certified minimum, epsilon, entropy, regular designs."""
+"""Tests for the scalar floors: certified minimum, epsilon, entropy, and the product
+bound on doubly regular designs."""
 
 import math
 
@@ -13,11 +14,12 @@ from pooltest import (
     ScanLimitError,
     bounds,
     counting_bound,
-    doubly_regular_disguise_bound,
     epsilon_bound,
     epsilon_bound_delta,
     from_dict,
+    gen_doubly_regular,
     l_star,
+    mean_log_bound,
     to_dict,
     weight_log_term,
 )
@@ -150,19 +152,27 @@ class TestCountingBound:
 
 
 class TestDoublyRegularBound:
+    """On a doubly regular design (l tests per item, r items per test) every
+    item's FKG product bound is (1 - q^(r-1))^l."""
+
+    @staticmethod
+    def fkg_bounds(p, n, l, r):
+        report = mean_log_bound(gen_doubly_regular(n, l, r, seed=0), Prior(p))
+        return [item.fkg_bound for item in report.items]
+
     def test_direct_evaluation(self):
-        assert doubly_regular_disguise_bound(Prior(0.5), 2, 3) == pytest.approx(0.5625, rel=1e-12)
-        assert doubly_regular_disguise_bound(Prior(0.3), 2, 4) == pytest.approx(
-            (1 - 0.7**3) ** 2, rel=1e-12
-        )
+        for bound in self.fkg_bounds(0.5, 6, 2, 3):
+            assert bound == pytest.approx(0.5625, rel=1e-12)
+        for bound in self.fkg_bounds(0.3, 8, 2, 4):
+            assert bound == pytest.approx((1 - 0.7**3) ** 2, rel=1e-12)
 
     def test_single_item_tests_never_disguise(self):
         for p in (0.1, 0.5, 0.9):
-            assert doubly_regular_disguise_bound(Prior(p), 3, 1) == 0.0
+            assert self.fkg_bounds(p, 4, 3, 1) == [0.0] * 4
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            doubly_regular_disguise_bound(Prior(0.5), 0, 3)
+            gen_doubly_regular(6, 0, 3, seed=0)
 
 
 class TestWeightLogTerm:

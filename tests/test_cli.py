@@ -274,6 +274,13 @@ class TestGenAndReduce:
         d = parse_design(target.read_text())
         assert d.T == 4 and set(d.weights) == {4}
 
+    def test_gen_doubly_regular_failure_exits_one(self, capsys):
+        # no collision-free stub matching of 200 items into tests of 20
+        assert run(["gen", "doubly-regular", "-n", "200", "-l", "2", "-r", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: no collision-free")
+
     def test_reduce_output_parses(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text("3 3\n000\n100\n111\n")
@@ -425,8 +432,10 @@ class TestVerifyCommand:
         assert "not applicable" in capsys.readouterr().out
 
     def test_violation_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Either a failed floor check or a failed disguise check exits 2; each
+        # failed disguise check prints its item, exact value and bound.
         import pooltest.cli as cli_mod
-        from pooltest.sim import VerificationReport
+        from pooltest.sim import LemmaCheck, VerificationReport
 
         def fake_verify(design, prior, trials=0, seed=0):
             return VerificationReport(
@@ -436,15 +445,26 @@ class TestVerifyCommand:
                 observed_error=0.1,
                 method="exact-map",
                 applicable=True,
-                theorem_pass=False,
-                lemma_checks=(),
+                theorem_pass=theorem_pass,
+                lemma_checks=lemma_checks,
                 lemma_skipped=(),
             )
 
         monkeypatch.setattr(cli_mod.sim_mod, "verify_theorem", fake_verify)
         f = tmp_path / "d.txt"
         f.write_text("1 2\n11\n")
+        theorem_pass, lemma_checks = False, ()
         assert run(["verify", "--design", str(f), "-p", "0.3"]) == 2
+        assert "floor_check     FAIL" in out_lines(capsys)
+
+        theorem_pass = True
+        lemma_checks = (LemmaCheck(item=0, exact=0.5, bound=0.5, passed=True),
+                        LemmaCheck(item=1, exact=0.25, bound=0.5, passed=False))
+        assert run(["verify", "--design", str(f), "-p", "0.3"]) == 2
+        lines = out_lines(capsys)
+        assert "floor_check     pass" in lines
+        assert "disguise_checks 2 checked, 1 failed, 0 skipped" in lines
+        assert lines[-1] == "  item 1: exact 0.25 < bound 0.5"
 
     def test_bad_run_arguments_exit_one_on_every_path(self, tmp_path, capsys):
         # a 3-item design takes the exact-map path, a 31-item one Monte Carlo

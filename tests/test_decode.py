@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from pooltest import (
     BudgetExceededError,
     DecoderId,
-    DefectiveSet,
     InconsistentOutcomeError,
     OutcomeVector,
     Prior,
     TestDesign,
     gen_doubly_regular,
     new_design,
-    outcomes,
 )
 
 from pooltest import decode as decode_module
@@ -42,6 +40,17 @@ class TestComp:
         d = new_design([{0}], 2)
         with pytest.raises(ValueError):
             decode(d, OutcomeVector.from_string("00"), DecoderId.COMP)
+
+
+class TestSignatureRange:
+    # Bits of a signature past test T - 1, or a negative one, name no outcome
+    # of the design: every decoder refuses them rather than decode a wrong one.
+    @pytest.mark.parametrize("decoder", list(DecoderId))
+    @pytest.mark.parametrize("sig", [-1, 4, 1 << 64])
+    def test_outside_range_rejected(self, decoder, sig):
+        d = new_design([{0, 1}, {1, 2}], 3)
+        with pytest.raises(ValueError, match="outside"):
+            decode_mask(d, sig, decoder, Prior(0.3))
 
 
 class TestDd:
@@ -144,6 +153,12 @@ def test_least_completion_matches_brute_force():
         assert _least_completion(tests) == _least_hitting_set(tests, n)
 
 
+def _outcome_of(design, k):
+    """The outcome vector of defective set ``k`` (a bitmask) by `helpers.outcome_signature`."""
+    sig = helpers.outcome_signature(design, k)
+    return OutcomeVector(tuple(bool(sig >> t & 1) for t in range(design.T)))
+
+
 @st.composite
 def design_and_set(draw):
     n = draw(st.integers(1, 6))
@@ -158,16 +173,16 @@ def design_and_set(draw):
 @given(design_and_set())
 def test_map_reproduces_outcomes(case):
     design, k, p = case
-    y = outcomes(design, DefectiveSet(n=design.n, mask=k))
+    y = _outcome_of(design, k)
     estimate = decode(design, y, DecoderId.MAP, Prior(p))
-    assert outcomes(design, estimate) == y
+    assert helpers.outcome_signature(design, estimate.mask) == y.signature
 
 
 @settings(max_examples=200, deadline=None)
 @given(design_and_set())
 def test_dd_subset_of_comp(case):
     design, k, _ = case
-    y = outcomes(design, DefectiveSet(n=design.n, mask=k))
+    y = _outcome_of(design, k)
     dd = decode(design, y, DecoderId.DD).mask
     comp = decode(design, y, DecoderId.COMP).mask
     assert dd & comp == dd
@@ -179,7 +194,7 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
     design, k, _ = case
     if any(sum(m >> i & 1 for m in design.row_masks) == 0 for i in range(design.n)):
         return  # guarantee only holds when every item appears in some test
-    y = outcomes(design, DefectiveSet(n=design.n, mask=k))
+    y = _outcome_of(design, k)
     comp = decode(design, y, DecoderId.COMP).mask
     assert k & comp == k
 

@@ -8,6 +8,7 @@ import pytest
 from pooltest import (
     BudgetExceededError,
     DesignFormatError,
+    DesignGenerationError,
     TestDesign,
     format_design,
     gen_bernoulli,
@@ -18,7 +19,7 @@ from pooltest import (
     reduce_design,
     to_dict,
 )
-from pooltest.design import DESIGN_ENTRY_BUDGET, DESIGN_ITEM_BUDGET, LINE_CHAR_BUDGET
+from pooltest.design import DESIGN_ENTRY_BUDGET, DESIGN_ITEM_BUDGET, LINE_CHAR_BUDGET, STUB_RETRY_BUDGET
 
 import helpers
 
@@ -105,6 +106,12 @@ class TestGenerators:
     def test_doubly_regular_divisibility(self):
         with pytest.raises(ValueError):
             gen_doubly_regular(5, 2, 3, seed=0)
+
+    def test_doubly_regular_no_collision_free_matching(self):
+        # Twenty stubs per test out of 200 items of two stubs each: a matching
+        # almost surely puts some item in one test twice, so every attempt fails.
+        with pytest.raises(DesignGenerationError, match=f"{STUB_RETRY_BUDGET} attempts"):
+            gen_doubly_regular(200, 2, 20, seed=0)
 
     def test_doubly_regular_deterministic(self):
         assert gen_doubly_regular(12, 3, 4, seed=5) == gen_doubly_regular(12, 3, 4, seed=5)

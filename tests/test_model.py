@@ -1,4 +1,5 @@
-"""Tests for the prior, defective sets, and the OR outcome channel."""
+"""Tests for the prior, defective sets, outcome vectors, bit lanes, and the OR
+outcome channel (`sim._or_channel`), which works on defective sets in lanes."""
 
 import math
 
@@ -12,7 +13,7 @@ from pooltest import (
     OutcomeVector,
     Prior,
     new_design,
-    outcomes,
+    sim,
 )
 from pooltest.model import BLOCK_TRIALS, from_lanes, subset_lanes, to_lanes
 
@@ -80,16 +81,15 @@ class TestPrior:
 
 
 class TestDefectiveSet:
-    def test_from_indices(self):
-        ds = DefectiveSet.from_indices([2, 0], 4)
-        assert ds.mask == 0b101
+    def test_indices(self):
+        ds = DefectiveSet(n=4, mask=0b101)
         assert ds.indices == (0, 2)
-        assert 2 in ds and 1 not in ds
-        assert len(ds) == 2
+        assert DefectiveSet(n=4, mask=0).indices == ()
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            DefectiveSet.from_indices([4], 4)
+        for mask in (1 << 4, -1):
+            with pytest.raises(ValueError):
+                DefectiveSet(n=4, mask=mask)
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestDefectiveSet:
 class TestOutcomeVector:
     def test_string_round_trip(self):
         y = OutcomeVector.from_string("0110")
-        assert y.to_string() == "0110"
+        assert "".join("1" if b else "0" for b in y.bits) == "0110"
         assert y.signature == 0b0110
         assert len(y) == 4
 
@@ -108,29 +108,34 @@ class TestOutcomeVector:
             OutcomeVector.from_string("012")
 
 
+def channel(design, sets):
+    """The outcome signatures of defective sets (bitmasks), pushed through
+    `sim._or_channel` as one block of trials in lanes."""
+    rows = np.array([[bool(k >> i & 1) for i in range(design.n)] for k in sets], dtype=bool)
+    images = from_lanes(sim._or_channel(design, to_lanes(rows)), len(sets))
+    return [helpers.mask_of_row(row) for row in images]
+
+
 class TestOutcomes:
+    """Test t is positive iff it contains at least one defective item."""
+
     def test_definition_cases(self):
         d = new_design([{0, 1}, {2}], 3)
-        assert outcomes(d, DefectiveSet.from_indices({1}, 3)).to_string() == "10"
+        assert channel(d, [0b010]) == [0b01]
         d2 = new_design([{0, 1}, {1, 2}, {2}], 3)
-        assert outcomes(d2, DefectiveSet.from_indices({2}, 3)).to_string() == "011"
+        assert channel(d2, [0b100]) == [0b110]
 
     def test_empty_set_all_negative(self):
         d = new_design([{0, 1}, {1, 2}, set()], 3)
-        assert outcomes(d, DefectiveSet(3, 0)).to_string() == "000"
+        assert channel(d, [0]) == [0]
 
     def test_identity_decodes_itself(self):
         d = new_design([{0}, {1}, {2}], 3)
-        assert outcomes(d, DefectiveSet.from_indices({1}, 3)).to_string() == "010"
-
-    def test_universe_mismatch(self):
-        d = new_design([{0}], 2)
-        with pytest.raises(ValueError):
-            outcomes(d, DefectiveSet(3, 0))
+        assert channel(d, [0b010]) == [0b010]
 
     def test_weight_zero_test_never_fires(self):
         d = new_design([set(), {0}], 1)
-        assert outcomes(d, DefectiveSet.from_indices({0}, 1)).to_string() == "01"
+        assert channel(d, [0b1]) == [0b10]
 
 
 @st.composite
@@ -147,15 +152,12 @@ def design_and_masks(draw):
 @given(design_and_masks())
 def test_outcomes_monotone_and_or(case):
     design, a, b = case
-    n = design.n
-    ya = outcomes(design, DefectiveSet(n=n, mask=a))
-    yb = outcomes(design, DefectiveSet(n=n, mask=b))
-    yab = outcomes(design, DefectiveSet(n=n, mask=a | b))
+    ya, yb, yab, sub = channel(design, [a, b, a | b, a & b])
+    assert [ya, yb] == [helpers.outcome_signature(design, k) for k in (a, b)]
     # union outcome is bitwise OR
-    assert yab.signature == ya.signature | yb.signature
+    assert yab == ya | yb
     # monotone: subset gives bitwise-smaller outcomes
-    sub = outcomes(design, DefectiveSet(n=n, mask=a & b))
-    assert sub.signature & ya.signature == sub.signature
+    assert sub & ya == sub
 
 
 class TestSubsetWalk:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from pooltest import (
     BudgetExceededError,
     DecoderId,
-    DefectiveSet,
     InconsistentOutcomeError,
     OutcomeVector,
     Prior,
@@ -29,7 +28,6 @@ from pooltest import (
     gen_individual,
     monte_carlo_error,
     new_design,
-    outcomes,
     reduce_design,
     to_dict,
     verify_theorem,
@@ -792,13 +790,10 @@ class TestMonteCarlo:
             decoded.append(sig)
             return original(design, sig, *args)
 
-        def signature(k):
-            return outcomes(d, DefectiveSet(n=d.n, mask=k)).signature
-
         monkeypatch.setattr(sim, "decode_mask", counting)
         for p in (0.1, 0.7):
             sets = helpers.monte_carlo_sets_reference(d, p, trials, 3, 2)
-            distinct = {signature(k) for k in sets}
+            distinct = {helpers.outcome_signature(d, k) for k in sets}
             unexplained = {s for s in distinct if p <= 0.5 and not helpers.dd_explains(d, s)}
             searches = {s for s in unexplained if helpers.map_search_needed(d, s)}
             assert searches < unexplained or p > 0.5
