@@ -37,8 +37,8 @@ from .errors import (
     InconsistentOutcomeError,
     ScanLimitError,
 )
-from .model import DefectiveSet, OutcomeVector, Prior
-from .serialize import from_dict, to_dict
+from .model import Prior
+from .serialize import to_dict
 from .sim import (
     LemmaCheck,
     SimResult,
@@ -53,14 +53,12 @@ __all__ = [
     "BoundReport",
     "BudgetExceededError",
     "DecoderId",
-    "DefectiveSet",
     "DesignFormatError",
     "DesignGenerationError",
     "DisguiseReport",
     "InconsistentOutcomeError",
     "ItemDisguise",
     "LemmaCheck",
-    "OutcomeVector",
     "Prior",
     "ReductionLog",
     "ScanLimitError",
@@ -75,7 +73,6 @@ __all__ = [
     "exact_average_error",
     "exact_disguise_prob",
     "format_design",
-    "from_dict",
     "gen_bernoulli",
     "gen_doubly_regular",
     "gen_individual",

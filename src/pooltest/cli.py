@@ -13,9 +13,9 @@ from . import bounds as bounds_mod
 from . import design as design_mod
 from . import disguise as disguise_mod
 from . import sim as sim_mod
-from .decode import DecoderId, decode
+from .decode import DecoderId, decode_mask
 from .errors import BudgetExceededError
-from .model import OutcomeVector, Prior
+from .model import Prior
 from .serialize import to_dict
 
 _FMT = "{:.12g}"
@@ -220,11 +220,15 @@ def _cmd_disguise(args) -> int:
 
 def _cmd_decode(args) -> int:
     d = _read_design(args.design)
-    y = OutcomeVector.from_string(args.outcome)
-    decoder = DecoderId(args.decoder)
+    y = args.outcome
+    if set(y) - {"0", "1"}:
+        raise ValueError(f"outcome string must contain only 0/1, got {y!r}")
     prior = Prior(args.p) if args.p is not None else None
-    estimate = decode(d, y, decoder, prior)
-    print(",".join(map(str, estimate.indices)))
+    if len(y) != d.T:
+        raise ValueError(f"outcome vector has {len(y)} bits but the design has {d.T} tests")
+    # character t is test t, so the string read backwards is the signature in binary
+    estimate = decode_mask(d, int(y[::-1] or "0", 2), DecoderId(args.decoder), prior)
+    print(",".join(map(str, design_mod._bit_positions(estimate))))
     return 0
 
 

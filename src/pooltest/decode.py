@@ -8,7 +8,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import BudgetExceededError, InconsistentOutcomeError
-from .model import DefectiveSet, OutcomeVector, Prior, fold_lanes, from_lanes, lane_columns
+from .model import Prior, fold_lanes, from_lanes, lane_columns
 
 MAP_ITEM_BUDGET = 30
 
@@ -165,12 +165,3 @@ def decode_mask(design: TestDesign, y_sig: int, decoder: DecoderId, prior: Prior
             "a positive test contains only items cleared by negative tests"
         )
     return survivors if prior.p > 0.5 else dd | _least_completion(tests)
-
-
-def decode(
-    design: TestDesign, y: OutcomeVector, decoder: DecoderId, prior: Prior | None = None
-) -> DefectiveSet:
-    """Decode an outcome vector with the chosen decoder; MAP requires a prior."""
-    if len(y) != design.T:
-        raise ValueError(f"outcome vector has {len(y)} bits but the design has {design.T} tests")
-    return DefectiveSet(n=design.n, mask=decode_mask(design, y.signature, decoder, prior))

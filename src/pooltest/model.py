@@ -1,4 +1,4 @@
-"""Defectivity prior, defective sets, outcome vectors, and bit lanes of trials and subsets.
+"""Defectivity prior and bit lanes of trials and subsets.
 
 A block of s trials is held in bit lanes: a k x ceil(s/64) uint64 array whose
 row r belongs to one item (or test) and whose bit b of word w is trial
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-
-from .design import _bit_positions
 
 BLOCK_TRIALS = 4096
 # Most values one pass over a design may hold: a decoded chunk of trials, or in
@@ -63,48 +61,6 @@ def _weights(prior: Prior, width: int) -> np.ndarray:
         table[m, :m + 1] = [prior.weight(j, m) for j in range(m + 1)]
     table.flags.writeable = False
     return table
-
-
-@dataclass(frozen=True)
-class DefectiveSet:
-    """A subset of the n items, stored as a bitmask (bit ``i`` <-> item ``i``)."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"universe size must be nonnegative, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError("defective-set mask has bits outside the universe")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return _bit_positions(self.mask)
-
-
-@dataclass(frozen=True)
-class OutcomeVector:
-    """The T test results, in test order."""
-
-    bits: tuple[bool, ...]
-
-    @classmethod
-    def from_string(cls, text: str) -> OutcomeVector:
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"outcome string must contain only 0/1, got {text!r}")
-        return cls(tuple(c == "1" for c in text))
-
-    @property
-    def signature(self) -> int:
-        sig = 0
-        for t, b in enumerate(self.bits):
-            if b:
-                sig |= 1 << t
-        return sig
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @functools.cache

@@ -1,12 +1,10 @@
-"""Dict form of the report dataclasses, for ``--json`` output and round trips."""
+"""Dict form of the report dataclasses, for ``--json`` output."""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
 import functools
-import types
-import typing
 
 # Values returned as they are, recognised by exact type before any other check.
 _PLAIN = frozenset({bool, int, float, str, type(None)})
@@ -36,29 +34,4 @@ def _dump(value):
         return tuple(_dump(v) for v in value)
     if dataclasses.is_dataclass(value):
         return to_dict(value)
-    return value
-
-
-def from_dict(cls, data: dict):
-    """Rebuild a dataclass from `to_dict` output or its JSON round trip.
-
-    Values are converted by following the field type hints: tuples of
-    dataclasses are rebuilt element by element, enums from their values, and
-    ``X | None`` fields accept None.
-    """
-    hints = typing.get_type_hints(cls)
-    return cls(**{name: _load(hint, data[name]) for name, hint in hints.items() if name in data})
-
-
-def _load(hint, value):
-    if value is None:
-        return None
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    if typing.get_origin(hint) is tuple:
-        return tuple(_load(typing.get_args(hint)[0], v) for v in value)
-    if dataclasses.is_dataclass(hint):
-        return from_dict(hint, value)
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return hint(value)
     return value

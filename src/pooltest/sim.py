@@ -219,7 +219,7 @@ def _small_completions(
 
 
 def _map_block(design: TestDesign, prior: Prior):
-    """Return ``decode(positive, s)``: MAP for p <= 1/2 on a block of s outcomes in lanes (T x W).
+    """Return ``decode_block(positive, s)``: MAP for p <= 1/2 on s outcomes in lanes (T x W).
 
     Like `dd_block`, it returns the estimates' lanes (n x W), and it starts
     from DD's: a trial whose estimate reproduces its outcome keeps it, since
@@ -241,7 +241,7 @@ def _map_block(design: TestDesign, prior: Prior):
     item_words = to_lanes(member[:, :n])  # each item's tests as packed words
     cache: dict[bytes, int] = {}
 
-    def decode(positive: np.ndarray, s: int) -> np.ndarray:
+    def decode_block(positive: np.ndarray, s: int) -> np.ndarray:
         survivors = comp_block(design, positive)
         estimates = dd_block(design, positive, survivors)
         images = _or_channel(design, estimates)
@@ -268,11 +268,11 @@ def _map_block(design: TestDesign, prior: Prior):
         _write_back(estimates, flagged, masks[inverse])
         return estimates
 
-    return decode
+    return decode_block
 
 
 def _block_decoder(design: TestDesign, prior: Prior, decoder: DecoderId):
-    """Return ``decode(positive, s)``: the decoder on a block of s outcomes in lanes, T x W to n x W.
+    """Return ``decode_block(positive, s)``: the decoder on s outcomes in lanes, T x W to n x W.
 
     Any outcome may be given; on one that no set produces, the estimate's
     channel image differs from it, as no set reproduces it.  COMP and DD

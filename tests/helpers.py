@@ -104,6 +104,19 @@ def to_dict_reference(report) -> dict:
     return dataclasses.asdict(report, dict_factory=enum_values)
 
 
+def json_reference(report):
+    """`to_dict_reference` as JSON reads it back: every tuple a list."""
+
+    def lists(value):
+        if isinstance(value, dict):
+            return {k: lists(v) for k, v in value.items()}
+        if isinstance(value, tuple):
+            return [lists(v) for v in value]
+        return value
+
+    return lists(to_dict_reference(report))
+
+
 def scan_l_star(p: float, w_max: int = 10**4) -> tuple[float, int]:
     """Exhaustive-scan oracle for the integer-weight minimum, no certification."""
     q = 1.0 - p

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltest import (
-    BoundReport,
     Prior,
     ScanLimitError,
     bounds,
     counting_bound,
     epsilon_bound,
     epsilon_bound_delta,
-    from_dict,
     gen_doubly_regular,
     l_star,
     mean_log_bound,
@@ -200,5 +198,4 @@ class TestBoundReportRoundTrip:
         import json
 
         report = epsilon_bound(Prior(0.41))
-        parsed = from_dict(BoundReport, json.loads(json.dumps(to_dict(report))))
-        assert parsed == report
+        assert json.loads(json.dumps(to_dict(report))) == helpers.json_reference(report)

@@ -14,7 +14,10 @@ from pooltest import (
     DecoderId,
     Prior,
     epsilon_bound,
+    format_design,
+    gen_bernoulli,
     gen_individual,
+    mean_log_bound,
     new_design,
     parse_design,
     save_design,
@@ -22,6 +25,8 @@ from pooltest import (
     to_dict,
 )
 from pooltest.cli import build_parser, main, run
+
+import helpers
 
 SUBCOMMANDS = ("gen", "reduce", "bound", "figure", "disguise", "decode", "exact-error",
                "simulate", "verify")
@@ -95,6 +100,18 @@ class TestUsageErrors:
         for name in ("decode", "exact-error", "simulate"):
             decoder = commands.choices[name]._option_string_actions["--decoder"]
             assert decoder.choices == [d.value for d in DecoderId]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "doubly-regular", "-n", "8", "-l", "2"], "doubly-regular designs need -l and -r"),
+        (["gen", "bernoulli", "-n", "4", "-T", "2"], "bernoulli designs need -T and --nu"),
+        (["figure", "--p-min", "0.1", "--p-max", "0.5", "--steps", "0"],
+         "steps must be at least 1"),
+    ])
+    def test_missing_or_bad_value_exits_one(self, argv, message, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("p, code", [("0.5", 0), ("2", 1)])
     def test_main_exits_with_run_code(self, p, code, monkeypatch, capsys):
@@ -268,6 +285,10 @@ class TestGenAndReduce:
     def test_gen_bernoulli_needs_params(self, capsys):
         assert run(["gen", "bernoulli", "-n", "5"]) == 1
 
+    def test_gen_bernoulli(self, capsys):
+        assert run(["gen", "bernoulli", "-n", "4", "-T", "2", "--nu", "0.5", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == format_design(gen_bernoulli(4, 2, 0.5, 1))
+
     def test_gen_doubly_regular(self, tmp_path, capsys):
         target = tmp_path / "dr.txt"
         assert run(["gen", "doubly-regular", "-n", "8", "-l", "2", "-r", "4", "--seed", "3", "-o", str(target)]) == 0
@@ -335,6 +356,38 @@ class TestDecodeCommand:
         f = tmp_path / "d.txt"
         f.write_text("1 2\n11\n")
         assert run(["decode", "--design", str(f), "--outcome", "10", "--decoder", "comp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: outcome vector has 2 bits but the design has 1 tests"]
+
+    @pytest.mark.parametrize("outcome", ["0x", "012"])
+    def test_outcome_not_binary(self, outcome, tmp_path, capsys):
+        # checked before the length, which is also wrong here
+        f = tmp_path / "d.txt"
+        f.write_text("1 2\n11\n")
+        assert run(["decode", "--design", str(f), "--outcome", outcome, "--decoder", "comp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: outcome string must contain only 0/1, got {outcome!r}"]
+
+    def test_character_t_is_test_t(self, tmp_path, capsys):
+        # on the identity design COMP keeps exactly the items of positive tests
+        f = tmp_path / "id4.txt"
+        save_design(gen_individual(4), str(f))
+        assert run(["decode", "--design", str(f), "--outcome", "1101", "--decoder", "comp"]) == 0
+        assert capsys.readouterr().out == "0,1,3\n"
+
+    @pytest.mark.parametrize("decoder, expected", [
+        (["comp"], "0,1,2\n"), (["dd"], "\n"), (["map", "-p", "0.3"], "\n"),
+    ], ids=["comp", "dd", "map"])
+    def test_zero_test_design(self, decoder, expected, tmp_path, capsys):
+        # no test clears an item: COMP keeps all three, DD and MAP declare none
+        f = tmp_path / "d.txt"
+        f.write_text("0 3\n")
+        assert run(["decode", "--design", str(f), "--outcome", "", "--decoder", *decoder]) == 0
+        assert capsys.readouterr() == (expected, "")
 
 
 class TestExactErrorCommand:
@@ -499,14 +552,13 @@ class TestDisguiseCommand:
         assert lines[-2].startswith("L_bar,")
 
     def test_json_round_trip(self, tmp_path, capsys):
-        from pooltest import DisguiseReport, from_dict
-
         f = tmp_path / "d.txt"
         f.write_text("2 3\n110\n011\n")
         assert run(["disguise", "--design", str(f), "-p", "0.5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        report = from_dict(DisguiseReport, data)
-        assert report.chain_applicable
+        report = mean_log_bound(parse_design(f.read_text()), Prior(0.5), exact_budget=20)
+        assert data == helpers.json_reference(report)
+        assert data["chain_applicable"]
 
     def test_missing_file(self, capsys):
         assert run(["disguise", "--design", "/nonexistent/x.txt", "-p", "0.5"]) == 1

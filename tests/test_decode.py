@@ -9,7 +9,6 @@ from pooltest import (
     BudgetExceededError,
     DecoderId,
     InconsistentOutcomeError,
-    OutcomeVector,
     Prior,
     TestDesign,
     gen_doubly_regular,
@@ -17,29 +16,26 @@ from pooltest import (
 )
 
 from pooltest import decode as decode_module
-from pooltest.decode import _least_completion, comp_block, dd_block, decode, decode_mask
+from pooltest.decode import _least_completion, comp_block, dd_block, decode_mask
 from pooltest.model import from_lanes, to_lanes
 
 import helpers
 
 
+# Signatures and estimates are bitmasks: bit t of a signature is test t, bit i
+# of an estimate is item i.
 class TestComp:
     def test_negative_test_clears(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode(d, OutcomeVector.from_string("01"), DecoderId.COMP).indices == (2,)
+        assert decode_mask(d, 0b10, DecoderId.COMP) == 0b100
 
     def test_all_positive_clears_nothing(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode(d, OutcomeVector.from_string("11"), DecoderId.COMP).indices == (0, 1, 2)
+        assert decode_mask(d, 0b11, DecoderId.COMP) == 0b111
 
     def test_all_negative_keeps_untested(self):
         d = new_design([{0, 1}], 3)
-        assert decode(d, OutcomeVector.from_string("0"), DecoderId.COMP).indices == (2,)
-
-    def test_length_mismatch(self):
-        d = new_design([{0}], 2)
-        with pytest.raises(ValueError):
-            decode(d, OutcomeVector.from_string("00"), DecoderId.COMP)
+        assert decode_mask(d, 0, DecoderId.COMP) == 0b100
 
 
 class TestSignatureRange:
@@ -56,66 +52,62 @@ class TestSignatureRange:
 class TestDd:
     def test_unique_survivor_declared(self):
         d = new_design([{0, 1}, {1, 2}, {2}], 3)
-        assert decode(d, OutcomeVector.from_string("011"), DecoderId.DD).indices == (2,)
+        assert decode_mask(d, 0b110, DecoderId.DD) == 0b100
 
     def test_all_negative_empty(self):
         d = new_design([{0, 1}, {1, 2}], 3)
-        assert decode(d, OutcomeVector.from_string("00"), DecoderId.DD).indices == ()
+        assert decode_mask(d, 0, DecoderId.DD) == 0
 
     def test_ambiguous_positive_declares_nothing(self):
         d = new_design([{0, 1}], 2)
-        assert decode(d, OutcomeVector.from_string("1"), DecoderId.DD).indices == ()
+        assert decode_mask(d, 1, DecoderId.DD) == 0
 
 
 class TestMap:
     def test_tie_break_prefers_lowest_item(self):
         d = new_design([{0, 1}], 2)
-        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.3)).indices == (0,)
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.3)) == 0b1
 
     def test_high_prior_prefers_large_sets(self):
         d = new_design([{0, 1}], 2)
-        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.7)).indices == (0, 1)
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.7)) == 0b11
 
     def test_unique_consistent_set(self):
         d = new_design([{0}], 1)
         for p in (0.1, 0.5, 0.9):
-            assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(p)).indices == (0,)
+            assert decode_mask(d, 1, DecoderId.MAP, Prior(p)) == 0b1
 
     def test_identity_all_negative(self):
         d = new_design([{0}, {1}, {2}], 3)
-        assert decode(d, OutcomeVector.from_string("000"), DecoderId.MAP, Prior(0.3)).indices == ()
+        assert decode_mask(d, 0, DecoderId.MAP, Prior(0.3)) == 0
 
     def test_inconsistent_outcomes_rejected(self):
         d = new_design([{0}, {0}], 1)
         with pytest.raises(InconsistentOutcomeError):
-            decode(d, OutcomeVector.from_string("10"), DecoderId.MAP, Prior(0.5))
+            decode_mask(d, 0b01, DecoderId.MAP, Prior(0.5))
 
     def test_budget(self):
         d = new_design([set(range(31))], 31)
         with pytest.raises(BudgetExceededError):
-            decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.5))
+            decode_mask(d, 1, DecoderId.MAP, Prior(0.5))
 
     def test_untested_items_follow_prior(self):
         # item 2 untested: excluded when p < 1/2, included when p > 1/2
         d = new_design([{0, 1}], 3)
-        y = OutcomeVector.from_string("1")
-        assert decode(d, y, DecoderId.MAP, Prior(0.3)).indices == (0,)
-        assert decode(d, y, DecoderId.MAP, Prior(0.7)).indices == (0, 1, 2)
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.3)) == 0b1
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.7)) == 0b111
 
     def test_half_prior_smallest_then_lowest(self):
         d = new_design([{0, 1, 2}], 3)
-        assert decode(d, OutcomeVector.from_string("1"), DecoderId.MAP, Prior(0.5)).indices == (0,)
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.5)) == 0b1
 
     def test_dispatcher(self):
         d = new_design([{0, 1}], 2)
-        y = OutcomeVector.from_string("1")
-        assert decode(d, y, DecoderId.COMP).mask == helpers.comp_reference(d, y.signature)
-        assert decode(d, y, DecoderId.DD).mask == helpers.dd_reference(d, y.signature)
-        assert decode(d, y, DecoderId.MAP, Prior(0.3)).mask == decode_mask(
-            d, y.signature, DecoderId.MAP, Prior(0.3)
-        )
-        with pytest.raises(ValueError):
-            decode(d, y, DecoderId.MAP)
+        assert decode_mask(d, 1, DecoderId.COMP) == helpers.comp_reference(d, 1)
+        assert decode_mask(d, 1, DecoderId.DD) == helpers.dd_reference(d, 1)
+        assert decode_mask(d, 1, DecoderId.MAP, Prior(0.3)) == helpers.map_reference(d, 1, 0.3)
+        with pytest.raises(ValueError, match="requires a prior"):
+            decode_mask(d, 1, DecoderId.MAP)
 
     def test_one_comp_pass_per_call(self, monkeypatch):
         # Every decoder runs comp_block once on its block of one trial: DD and
@@ -128,11 +120,10 @@ class TestMap:
 
         monkeypatch.setattr(decode_module, "comp_block", counting)
         d = new_design([{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {1, 3}], 10)
-        y = OutcomeVector.from_string("111111")
         for decoder, prior in ((DecoderId.COMP, None), (DecoderId.DD, None),
                                (DecoderId.MAP, Prior(0.3)), (DecoderId.MAP, Prior(0.7))):
             calls.clear()
-            decode(d, y, decoder, prior)
+            decode_mask(d, 0b111111, decoder, prior)
             assert calls == [(d.T, 1)]
 
 
@@ -153,12 +144,6 @@ def test_least_completion_matches_brute_force():
         assert _least_completion(tests) == _least_hitting_set(tests, n)
 
 
-def _outcome_of(design, k):
-    """The outcome vector of defective set ``k`` (a bitmask) by `helpers.outcome_signature`."""
-    sig = helpers.outcome_signature(design, k)
-    return OutcomeVector(tuple(bool(sig >> t & 1) for t in range(design.T)))
-
-
 @st.composite
 def design_and_set(draw):
     n = draw(st.integers(1, 6))
@@ -173,18 +158,20 @@ def design_and_set(draw):
 @given(design_and_set())
 def test_map_reproduces_outcomes(case):
     design, k, p = case
-    y = _outcome_of(design, k)
-    estimate = decode(design, y, DecoderId.MAP, Prior(p))
-    assert helpers.outcome_signature(design, estimate.mask) == y.signature
+    sig = helpers.outcome_signature(design, k)
+    estimate = decode_mask(design, sig, DecoderId.MAP, Prior(p))
+    assert 0 <= estimate < 1 << design.n
+    assert helpers.outcome_signature(design, estimate) == sig
 
 
 @settings(max_examples=200, deadline=None)
 @given(design_and_set())
 def test_dd_subset_of_comp(case):
     design, k, _ = case
-    y = _outcome_of(design, k)
-    dd = decode(design, y, DecoderId.DD).mask
-    comp = decode(design, y, DecoderId.COMP).mask
+    sig = helpers.outcome_signature(design, k)
+    dd = decode_mask(design, sig, DecoderId.DD)
+    comp = decode_mask(design, sig, DecoderId.COMP)
+    assert 0 <= comp < 1 << design.n
     assert dd & comp == dd
 
 
@@ -194,13 +181,12 @@ def test_comp_superset_of_truth_when_all_items_tested(case):
     design, k, _ = case
     if any(sum(m >> i & 1 for m in design.row_masks) == 0 for i in range(design.n)):
         return  # guarantee only holds when every item appears in some test
-    y = _outcome_of(design, k)
-    comp = decode(design, y, DecoderId.COMP).mask
+    comp = decode_mask(design, helpers.outcome_signature(design, k), DecoderId.COMP)
     assert k & comp == k
 
 
 class TestBlockKernels:
-    """`comp_block`/`dd_block` and `decode` agree outcome by outcome with
+    """`comp_block`/`dd_block` and `decode_mask` agree outcome by outcome with
     `helpers.comp_reference`/`dd_reference`."""
 
     @staticmethod
@@ -218,8 +204,7 @@ class TestBlockKernels:
             for row, sig in zip(from_lanes(estimates, s), signatures):
                 expected = reference(design, sig)
                 assert helpers.mask_of_row(row) == expected
-                y = OutcomeVector(tuple(bool(sig >> t & 1) for t in range(design.T)))
-                assert decode(design, y, decoder).mask == expected
+                assert decode_mask(design, sig, decoder) == expected
 
     def test_block_sizes_at_word_edges(self):
         # Padding bits of the last word never reach a trial: items in no test

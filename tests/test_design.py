@@ -85,6 +85,11 @@ class TestGenerators:
         assert a == b
         assert a != gen_bernoulli(100, 50, 0.1, seed=8)
 
+    @pytest.mark.parametrize("n, T, message", [(0, 2, "at least one item"), (3, -1, "nonnegative")])
+    def test_bernoulli_rejects_bad_sizes(self, n, T, message):
+        with pytest.raises(ValueError, match=message):
+            gen_bernoulli(n, T, 0.5, 1)
+
     def test_bernoulli_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             gen_bernoulli(5, 2, 1.5, seed=0)
@@ -102,6 +107,14 @@ class TestGenerators:
         d = gen_doubly_regular(4, 1, 4, seed=0)
         assert d.T == 1
         assert d.row_masks == (0b1111,)
+
+    @pytest.mark.parametrize("n, l, r, message", [
+        (0, 1, 1, "at least one item"),
+        (3, 1, 4, "a test of 4 distinct items needs at least 4 items"),
+    ])
+    def test_doubly_regular_rejects_bad_sizes(self, n, l, r, message):
+        with pytest.raises(ValueError, match=message):
+            gen_doubly_regular(n, l, r, 1)
 
     def test_doubly_regular_divisibility(self):
         with pytest.raises(ValueError):
@@ -267,6 +280,10 @@ class TestTextFormat:
             parse_design("1 3\n11\n")
 
     def test_bad_header(self):
+        with pytest.raises(DesignFormatError, match="missing `T n` header line"):
+            parse_design("# c\n")
+        with pytest.raises(DesignFormatError, match="two integers"):
+            parse_design("2 x\n")
         with pytest.raises(DesignFormatError):
             parse_design("3\n")
         with pytest.raises(DesignFormatError):
@@ -307,6 +324,10 @@ class TestDesignType:
     def test_mask_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             TestDesign(n=2, row_masks=(4,))
+
+    def test_negative_item_count_rejected(self):
+        with pytest.raises(ValueError, match="item count must be nonnegative, got -1"):
+            TestDesign(n=-1, row_masks=())
 
 
 class TestSizeBudget:

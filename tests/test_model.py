@@ -1,5 +1,5 @@
-"""Tests for the prior, defective sets, outcome vectors, bit lanes, and the OR
-outcome channel (`sim._or_channel`), which works on defective sets in lanes."""
+"""Tests for the prior, bit lanes, and the OR outcome channel (`sim._or_channel`),
+which works on defective sets in lanes."""
 
 import math
 
@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltest import (
-    DefectiveSet,
-    OutcomeVector,
     Prior,
     new_design,
     sim,
@@ -78,34 +76,6 @@ class TestPrior:
         # over m = 0 items the event holds on the empty set or on nothing
         assert prior.probability(np.array([[1], [0]]), np.array([0, 0])).tolist() == [1.0, 0.0]
         assert float(prior.probability(np.array([1]), 0)) == 1.0
-
-
-class TestDefectiveSet:
-    def test_indices(self):
-        ds = DefectiveSet(n=4, mask=0b101)
-        assert ds.indices == (0, 2)
-        assert DefectiveSet(n=4, mask=0).indices == ()
-
-    def test_out_of_range(self):
-        for mask in (1 << 4, -1):
-            with pytest.raises(ValueError):
-                DefectiveSet(n=4, mask=mask)
-
-    def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            DefectiveSet(n=2, mask=4)
-
-
-class TestOutcomeVector:
-    def test_string_round_trip(self):
-        y = OutcomeVector.from_string("0110")
-        assert "".join("1" if b else "0" for b in y.bits) == "0110"
-        assert y.signature == 0b0110
-        assert len(y) == 4
-
-    def test_bad_string(self):
-        with pytest.raises(ValueError):
-            OutcomeVector.from_string("012")
 
 
 def channel(design, sets):

@@ -25,4 +25,10 @@ def test_import_as_binds_the_module():
     import pooltest.decode as m
 
     assert m is sys.modules["pooltest.decode"]
-    assert callable(m.decode)
+    assert callable(m.decode_mask)
+
+
+def test_removed_names_not_exported():
+    assert len(pooltest.__all__) == 38
+    for name in ("DefectiveSet", "OutcomeVector", "from_dict"):
+        assert name not in pooltest.__all__ and not hasattr(pooltest, name)
