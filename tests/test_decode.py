@@ -37,6 +37,12 @@ class TestComp:
         d = new_design([{0, 1}], 3)
         assert decode_mask(d, 0, DecoderId.COMP) == 0b100
 
+    def test_length_mismatch(self):
+        # A two-test outcome (second test positive) on a one-test design.
+        d = new_design([{0}], 2)
+        with pytest.raises(ValueError):
+            decode_mask(d, 0b10, DecoderId.COMP)
+
 
 class TestSignatureRange:
     # Bits of a signature past test T - 1, or a negative one, name no outcome
