@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 BLOCK_TRIALS = 4096
-# Most values one pass over a design may hold: a decoded chunk of trials, or in
+# Most values one pass over a design may hold: a decoded batch of trials, or in
 # MAP's completion pass in `sim` a chunk of outcomes' deepest level or of rows
 # tested against every item; a gather of the items' own tests, a block of
 # co-set unions or of walked patterns in `disguise`.

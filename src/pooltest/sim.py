@@ -134,15 +134,15 @@ def _gather(lanes: np.ndarray, trials: np.ndarray) -> np.ndarray:
 def _write_back(lanes: np.ndarray, trials: np.ndarray, masks: np.ndarray) -> None:
     """OR into ``lanes`` (n x W), in place, bit i of ``masks[j]`` at trial ``trials[j]``.
 
-    ``trials`` ascend and ``masks`` are uint64, so one ``reduceat`` ORs
-    together the bits of the trials in each lane word; no other bit changes.
+    ``trials`` are distinct and ``masks`` are uint64.  The bits are set in one
+    n x 64W byte matrix, one byte per item and trial, which is packed once and
+    ORed in; no other bit changes.
     """
-    word = trials >> 6
-    starts = np.flatnonzero(np.diff(word, prepend=-1))
-    bits = masks[:, None] >> np.arange(len(lanes), dtype=np.uint64)
-    bits &= np.uint64(1)
-    bits <<= (trials & 63).astype(np.uint64)[:, None]
-    lanes[:, word[starts]] |= np.bitwise_or.reduceat(bits, starts, axis=0).T
+    n, W = lanes.shape
+    bits = np.zeros((n, 64 * W), dtype=bool)
+    octets = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits[:, trials] = np.unpackbits(octets, axis=1, count=n, bitorder="little").T
+    lanes |= np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def _small_completions(
@@ -227,21 +227,27 @@ def _map_block(design: TestDesign, prior: Prior):
     no positive test to cover).  So does a trial whose COMP survivors do not
     reproduce its outcome: no set produces that outcome, and DD's estimate,
     like any set, does not reproduce it.  Only the other trials are gathered
-    from the lanes, by byte and bit index (`_gather`), and each of their
-    distinct outcomes is decoded once across all calls, through one cache
-    keyed by the packed outcome.  An outcome new to the cache that at most
-    `COMPLETION_ITEMS` items complete caches the completion `decode_mask` would
-    add to DD's set (`_small_completions`); the rest cache `decode_mask`'s
-    estimate.  MAP's estimate holds DD's set, its forced items, so either,
-    ORed into the DD lanes in place, gives it (`_write_back`).
+    from the lanes, by byte and bit index (`_gather`), and each is keyed by
+    its COMP survivors as one uint64 mask (n is at most `MAP_ITEM_BUDGET`).
+    The key is exact: those survivors reproduce the trial's outcome, so the
+    outcome is their channel image.  Each distinct key is decoded once across
+    all calls, through one sorted table of keys read by `np.searchsorted`; it
+    ends in a sentinel no mask reaches.  A key new to the table that at most
+    `COMPLETION_ITEMS` items complete stores the completion `decode_mask`
+    would add to DD's set (`_small_completions`); the rest store
+    `decode_mask`'s estimate, their signatures rebuilt from the outcome bits.
+    MAP's estimate holds DD's set, its forced items, so either, ORed into the
+    DD lanes in place, gives it (`_write_back`).
     """
     n, T = design.n, design.T
     member = np.zeros((T, n + 1), dtype=bool)
     member[np.arange(T)[:, None], design.incidence.test_items] = True
     item_words = to_lanes(member[:, :n])  # each item's tests as packed words
-    cache: dict[bytes, int] = {}
+    keys = np.array([~np.uint64(0)])  # sorted survivor masks, then the sentinel
+    values = np.zeros(1, dtype=np.uint64)  # the completion or estimate of each key
 
     def decode_block(positive: np.ndarray, s: int) -> np.ndarray:
+        nonlocal keys, values
         survivors = comp_block(design, positive)
         estimates = dd_block(design, positive, survivors)
         images = _or_channel(design, estimates)
@@ -251,20 +257,24 @@ def _map_block(design: TestDesign, prior: Prior):
             flagged = flagged[produced[flagged]]
         if not len(flagged):
             return estimates
-        outcomes = _gather(positive, flagged)
-        words = to_lanes(outcomes)  # each trial's outcome as packed words over the T tests
-        rows = words.view(np.dtype((np.void, words.shape[1] * 8))).ravel()
-        keys, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        keys = keys.tolist()
-        new = [k for k, key in enumerate(keys) if key not in cache]
-        if new:
+        packed = np.zeros((len(flagged), 8), dtype=np.uint8)
+        packed[:, :-(-n // 8)] = np.packbits(_gather(survivors, flagged), axis=0, bitorder="little").T
+        distinct, first, inverse = np.unique(
+            packed.view("<u8")[:, 0], return_index=True, return_inverse=True
+        )
+        at = np.searchsorted(keys, distinct)
+        new = keys[at] != distinct
+        if new.any():
             pick = flagged[first[new]]
-            uncovered = outcomes[:, first[new]] & ~_gather(images, pick)
+            outcomes = _gather(positive, pick)
+            uncovered = outcomes & ~_gather(images, pick)
             found = _small_completions(design, item_words, uncovered, _gather(survivors, pick))
-            for k, mask in zip(new, found.tolist()):
-                sig = int.from_bytes(keys[k], "little")
-                cache[keys[k]] = mask or decode_mask(design, sig, DecoderId.MAP, prior)
-        masks = np.array([cache[key] for key in keys], dtype=np.uint64)
+            for k in np.flatnonzero(found == 0):
+                sig = int.from_bytes(np.packbits(outcomes[:, k], bitorder="little").tobytes(), "little")
+                found[k] = decode_mask(design, sig, DecoderId.MAP, prior)
+            keys = np.insert(keys, at[new], distinct[new])
+            values = np.insert(values, at[new], found)
+        masks = values[np.searchsorted(keys, distinct)]
         _write_back(estimates, flagged, masks[inverse])
         return estimates
 
@@ -386,16 +396,22 @@ def _draw_lanes(bitgen: np.random.BitGenerator, p: float, n: int, s: int) -> np.
 
 
 def _sampler(design: TestDesign, p: float):
-    """Return ``sample(rng, size)``, which draws ``size`` defective sets and yields them in chunks.
+    """Return ``sample(trials, master_seed, workers)``, which draws a run's defective sets
+    and yields them in batches.
 
-    The ``size`` sets, at most a block of `BLOCK_TRIALS`, are drawn at once in
-    lanes from ``rng``'s bit generator (`_draw_lanes`), so no float is drawn and
-    the sets depend only on the design's n, p, ``size`` and the stream.  Each
-    chunk is ``(sets, s)``: s of the sets in lanes (n x W), sliced from the
-    block in whole lane words, at most `CHUNK_ELEMENTS` values over max(n, T)
-    columns but never under 64 trials.  A design with no items and no tests
-    gets whole blocks of empty sets.  Raises `BudgetExceededError` at once,
-    before anything is drawn, when a single trial is over the budget.
+    Trials are pre-partitioned into fixed blocks of `BLOCK_TRIALS`; block b
+    belongs to worker b mod workers, and worker w draws its blocks in order
+    from its own substream seeded by (master_seed, w).  Each block is drawn
+    whole, straight into lanes (`_draw_lanes`), so no float is drawn and the
+    sets depend only on the design's n, p, the block's size and the stream.
+    The workers that own a block draw one after another, the owner of the last
+    block last, so that block, the only one that may be short, comes last and
+    its padding bits follow every real trial.  Each batch is ``(sets, s)``:
+    s of the sets in lanes (n x W), in whole lane words that may span blocks,
+    at most `CHUNK_ELEMENTS` values over max(n, T) columns but never under 64
+    trials.  A design with no items and no tests gets batches of empty sets.
+    Raises `BudgetExceededError` at once, before anything is drawn, when a
+    single trial is over the budget.
     """
     width = max(design.n, design.T)
     if width > CHUNK_ELEMENTS:
@@ -403,15 +419,31 @@ def _sampler(design: TestDesign, p: float):
             f"one trial over {design.n} items and {design.T} tests spans {width} values, "
             f"over the chunk budget of {CHUNK_ELEMENTS}"
         )
-    # Each block is drawn whole before chunks slice it in whole lane words, so
-    # the draws do not depend on the chunk size.  Designs with n and T up to
-    # 1024 fit a whole block of BLOCK_TRIALS in one chunk.
-    rows = max(64, min(BLOCK_TRIALS, CHUNK_ELEMENTS // max(width, 1)) // 64 * 64)
+    # Each block is drawn whole before batches slice it in whole lane words, so
+    # the draws do not depend on the batch size.
+    words = max(1, CHUNK_ELEMENTS // max(width, 1) // 64)
 
-    def sample(rng: np.random.Generator, size: int):
-        lanes = _draw_lanes(rng.bit_generator, p, design.n, size)
-        for start in range(0, size, rows):
-            yield lanes[:, start // 64:(start + rows) // 64], min(rows, size - start)
+    def blocks(trials: int, master_seed: int, workers: int):
+        nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+        active = min(workers, nblocks)
+        last = (nblocks - 1) % workers
+        for k in range(1, active + 1):
+            w = (last + k) % active
+            bitgen = np.random.default_rng([master_seed, w]).bit_generator
+            for b in range(w, nblocks, workers):
+                size = trials - b * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
+                yield _draw_lanes(bitgen, p, design.n, size)
+
+    def sample(trials: int, master_seed: int, workers: int):
+        pieces, held, start = [], 0, 0
+        for lanes in blocks(trials, master_seed, workers):
+            pieces.append(lanes)
+            held += lanes.shape[1]
+            while held >= words and start + 64 * words < trials:
+                joined = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
+                yield joined[:, :words], 64 * words
+                pieces, held, start = [joined[:, words:]], held - words, start + 64 * words
+        yield np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0], trials - start
 
     return sample
 
@@ -433,21 +465,17 @@ def monte_carlo_error(
     run one after another on the calling thread.  The result is a
     deterministic function of (inputs, master_seed, workers).  Each block is
     drawn whole, straight into bit lanes from the substream's raw 64-bit words,
-    each item defective with probability exactly p, and decoded in chunks (see
-    `_sampler`): each chunk goes through the OR channel, and the decoder
-    estimates its whole block of outcomes at once (`_block_decoder`, `_misses`).
+    each item defective with probability exactly p, and the run is decoded in
+    batches of whole lane words that span blocks (see `_sampler`): each batch
+    goes through the OR channel, and the decoder estimates its whole batch of
+    outcomes at once (`_block_decoder`, `_misses`).
     """
     _check_run(trials, master_seed, workers)
     sample = _sampler(design, prior.p)
-    nblocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     decode_block = _block_decoder(design, prior, decoder)
     total = 0
-    for w in range(min(workers, nblocks)):
-        rng = np.random.default_rng([master_seed, w])
-        for b in range(w, nblocks, workers):
-            size = trials - (nblocks - 1) * BLOCK_TRIALS if b == nblocks - 1 else BLOCK_TRIALS
-            for sets, s in sample(rng, size):
-                total += int(np.count_nonzero(_misses(design, decode_block, sets, s)))
+    for sets, s in sample(trials, master_seed, workers):
+        total += int(np.count_nonzero(_misses(design, decode_block, sets, s)))
     return _sim_result(total, trials, master_seed, decoder)
 
 

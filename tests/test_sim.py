@@ -597,6 +597,20 @@ class TestMapBlock:
             assert rows == [helpers.map_reference(d, sig, 0.7) for sig in sigs]
         assert searched == []
 
+    def test_survivors_key_unexplained_outcomes(self):
+        # The cache keys a trial by its COMP survivors: distinct outcomes that
+        # some set produces and DD does not explain have distinct survivors.
+        rng = np.random.default_rng(51)
+        total = 0
+        for _ in range(60):
+            d = helpers.random_messy_design(rng, int(rng.integers(4, 13)), int(rng.integers(3, 9)))
+            images = {helpers.outcome_signature(d, k) for k in range(1 << d.n)}
+            unexplained = [sig for sig in images if not helpers.dd_explains(d, sig)]
+            survivors = {helpers.comp_reference(d, sig) for sig in unexplained}
+            assert len(survivors) == len(unexplained)
+            total += len(unexplained)
+        assert total > 200
+
     def test_keys_over_64_tests(self, monkeypatch):
         # 64 copies of one test, then tests that alone tell the outcomes apart:
         # keys that kept only their first word would merge those outcomes.
@@ -618,7 +632,7 @@ class TestMapBlock:
 
 def _drawn(design, p, size, seed):
     """The lanes (n x W) of one block of ``size`` sets the library draws from substream (seed, 0)."""
-    chunks = sim._sampler(design, p)(np.random.default_rng([seed, 0]), size)
+    chunks = sim._sampler(design, p)(size, seed, 1)
     return np.concatenate([sets for sets, _ in chunks], axis=1)
 
 
@@ -747,6 +761,39 @@ class TestMonteCarlo:
             chunks.clear()
             assert monte_carlo_error(d, Prior(0.3), decoder, trials, 9, 2) == whole[decoder]
             assert sum(chunks) == trials and max(chunks) == 960
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
+    def test_batches_match_per_block_reference(self, p, monkeypatch):
+        # One short block alone; nine full blocks; and four full blocks and a
+        # short one, block 4, which with two workers is worker 0's and must
+        # still follow worker 1's blocks 1 and 3 in a batch.  Each run is one
+        # batch, then batches of 7 lane words, which end inside blocks.
+        d = new_design(PAIRED_TESTS, 12)
+        whole = sim.CHUNK_ELEMENTS
+        runs = [(trials, workers) for trials in (100, 9 * sim.BLOCK_TRIALS, 4 * sim.BLOCK_TRIALS + 100)
+                for workers in (1, 2, 3)]
+        for case, (trials, workers) in enumerate(runs):
+            sets = helpers.monte_carlo_sets_reference(d, p, trials, case, workers)
+            for decoder in DecoderId:
+                expected = helpers.monte_carlo_errors_reference(d, p, decoder, sets)
+                for chunk in (whole, 12 * 64 * 7 + 11):
+                    monkeypatch.setattr(sim, "CHUNK_ELEMENTS", chunk)
+                    got = monte_carlo_error(d, Prior(p), decoder, trials, case, workers)
+                    assert got.errors == expected
+
+    def test_run_of_ten_blocks_is_one_batch(self, monkeypatch):
+        # 40,960 trials of a 30-item design fit one batch of CHUNK_ELEMENTS values.
+        calls = []
+        original = sim._misses
+
+        def recording(design, decode_block, sets, s):
+            calls.append(s)
+            return original(design, decode_block, sets, s)
+
+        monkeypatch.setattr(sim, "_misses", recording)
+        d = gen_doubly_regular(30, 2, 3, seed=4)
+        monte_carlo_error(d, Prior(0.05), DecoderId.MAP, 10 * sim.BLOCK_TRIALS, 1, workers=3)
+        assert calls == [10 * sim.BLOCK_TRIALS]
 
     def test_row_over_chunk_budget_raises(self, monkeypatch):
         monkeypatch.setattr(sim, "CHUNK_ELEMENTS", 6)
